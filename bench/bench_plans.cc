@@ -53,23 +53,13 @@ Function* BuildSpin(SerProgram& prog) {
   return spin;
 }
 
-// The prior run's dispatch rates, read from BENCH_plans.json in the working
-// directory before JsonWriter truncates it; 0 when absent. The file's first
-// occurrence of each key belongs to the dispatch section. Older files
-// predate the vectorizer and carry only "plan_records_per_sec" (then the
-// scalar rate); current files report the vectorized rate under that key and
-// the scalar rate under "scalar_plan_records_per_sec", so the scalar
-// baseline falls back to the legacy key when the new one is missing.
-struct PriorRates {
-  double plan = 0.0;    // primary dispatch rate (vectorized in new files)
-  double scalar = 0.0;  // scalar plan dispatch rate
-};
-
-PriorRates ReadPriorPlanRps() {
-  PriorRates prior;
+// The prior run's scalar plan dispatch rate, read from BENCH_plans.json in
+// the working directory before JsonWriter truncates it; 0 when absent. The
+// file's first occurrence of the key belongs to the dispatch section.
+double ReadPriorScalarRps() {
   std::FILE* f = std::fopen("BENCH_plans.json", "r");
   if (f == nullptr) {
-    return prior;
+    return 0.0;
   }
   std::string text;
   char buf[4096];
@@ -78,23 +68,16 @@ PriorRates ReadPriorPlanRps() {
     text.append(buf, n);
   }
   std::fclose(f);
-  auto find = [&](const char* key) {
-    size_t pos = text.find(key);
-    if (pos == std::string::npos) {
-      return 0.0;
-    }
-    return std::strtod(text.c_str() + pos + std::strlen(key), nullptr);
-  };
-  prior.plan = find("\"plan_records_per_sec\":");
-  prior.scalar = find("\"scalar_plan_records_per_sec\":");
-  if (prior.scalar == 0.0) {
-    prior.scalar = prior.plan;  // legacy single-rate file: scalar dispatch
+  const char* key = "\"scalar_plan_records_per_sec\":";
+  size_t pos = text.find(key);
+  if (pos == std::string::npos) {
+    return 0.0;
   }
-  return prior;
+  return std::strtod(text.c_str() + pos + std::strlen(key), nullptr);
 }
 
 // Returns the number of regression guards that fired (0 = healthy).
-int DispatchExperiment(bench::JsonWriter& json, const PriorRates& prior) {
+int DispatchExperiment(bench::JsonWriter& json, double prior_scalar) {
   bench::PrintHeader("Plans 1: fast-path dispatch, interpreter vs compiled plan");
   SerProgram prog;
   Function* spin = BuildSpin(prog);
@@ -208,8 +191,8 @@ int DispatchExperiment(bench::JsonWriter& json, const PriorRates& prior) {
   // new instructions, and the vectorizer must not tax scalar dispatch).
   double tracing_off_overhead_pct = 0.0;
   int tracing_off_regression = 0;
-  if (prior.scalar > 0.0) {
-    tracing_off_overhead_pct = (prior.scalar - scalar_rps) / prior.scalar * 100.0;
+  if (prior_scalar > 0.0) {
+    tracing_off_overhead_pct = (prior_scalar - scalar_rps) / prior_scalar * 100.0;
     std::printf("tracing-off scalar dispatch vs prior BENCH_plans.json: %+.1f%% (budget: 5%%)\n",
                 tracing_off_overhead_pct);
     if (tracing_off_overhead_pct > 5.0) {
@@ -218,7 +201,7 @@ int DispatchExperiment(bench::JsonWriter& json, const PriorRates& prior) {
       std::fprintf(stderr,
                    "REGRESSION: tracing-off scalar plan dispatch is %.1f%% slower than the "
                    "prior run (%.0f vs %.0f records/s; budget 5%%)\n",
-                   tracing_off_overhead_pct, scalar_rps, prior.scalar);
+                   tracing_off_overhead_pct, scalar_rps, prior_scalar);
     }
   } else {
     std::printf("tracing-off overhead guard: no prior BENCH_plans.json, skipping\n");
@@ -229,8 +212,8 @@ int DispatchExperiment(bench::JsonWriter& json, const PriorRates& prior) {
   // vectorizer (bailing every strip, or pessimizing the loop) would breach.
   double vec_vs_prior_scalar_pct = 0.0;
   int vec_regression = 0;
-  if (prior.scalar > 0.0) {
-    vec_vs_prior_scalar_pct = (vec_rps - prior.scalar) / prior.scalar * 100.0;
+  if (prior_scalar > 0.0) {
+    vec_vs_prior_scalar_pct = (vec_rps - prior_scalar) / prior_scalar * 100.0;
     std::printf("vec dispatch vs prior scalar rate: %+.1f%% (floor: -5%%)\n",
                 vec_vs_prior_scalar_pct);
     if (vec_vs_prior_scalar_pct < -5.0) {
@@ -239,7 +222,7 @@ int DispatchExperiment(bench::JsonWriter& json, const PriorRates& prior) {
       std::fprintf(stderr,
                    "REGRESSION: vectorized plan dispatch is %.1f%% below the prior run's "
                    "scalar rate (%.0f vs %.0f records/s; floor -5%%)\n",
-                   -vec_vs_prior_scalar_pct, vec_rps, prior.scalar);
+                   -vec_vs_prior_scalar_pct, vec_rps, prior_scalar);
     }
   } else {
     std::printf("vec regression guard: no prior BENCH_plans.json, skipping\n");
@@ -581,12 +564,12 @@ int RowLayoutAblation(bench::JsonWriter& json) {
 }  // namespace gerenuk
 
 int main() {
-  // Read the prior rates before JsonWriter truncates the file.
-  gerenuk::PriorRates prior = gerenuk::ReadPriorPlanRps();
+  // Read the prior rate before JsonWriter truncates the file.
+  const double prior_scalar = gerenuk::ReadPriorScalarRps();
   gerenuk::bench::JsonWriter json("BENCH_plans.json");
   GERENUK_CHECK(json.ok()) << "cannot open BENCH_plans.json for writing";
   json.BeginObject();
-  int regressions = gerenuk::DispatchExperiment(json, prior);
+  int regressions = gerenuk::DispatchExperiment(json, prior_scalar);
   gerenuk::StageThroughput(json);
   gerenuk::TinyRecordGrouping(json);
   gerenuk::OpMix(json);

@@ -36,13 +36,6 @@ double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
-// Per-slot setup payload: the Pair klasses + UDFs, built once per engine so
-// repeat submissions share klass identity and keep the plan cache hot.
-struct PairServiceSetup {
-  PairUdfs spark;
-  PairUdfs hadoop;
-};
-
 ServiceConfig BenchService(int num_engines) {
   ServiceConfig config;
   config.engine.execution.mode = EngineMode::kGerenuk;
@@ -52,11 +45,13 @@ ServiceConfig BenchService(int num_engines) {
   config.num_engines = num_engines;
   config.max_queue_depth = 4096;
   config.max_queue_depth_per_tenant = 1024;
+  // Per-slot setup payload: the Pair klasses + UDFs, built once per slot
+  // (both front ends share its class registry) so repeat submissions share
+  // klass identity and keep the plan cache hot.
   config.setup = [](EngineContext& ctx) -> std::shared_ptr<void> {
-    auto setup = std::make_shared<PairServiceSetup>();
-    BuildPairUdfs(*ctx.spark, &setup->spark);
-    BuildPairUdfs(*ctx.hadoop, &setup->hadoop);
-    return setup;
+    auto udfs = std::make_shared<PairUdfs>();
+    BuildPairUdfs(*ctx.spark, udfs.get());
+    return udfs;
   };
   return config;
 }
@@ -67,8 +62,7 @@ JobSpec MapJob(int64_t records) {
   JobSpec spec;
   spec.name = "map" + std::to_string(records);
   spec.run = [records](EngineContext& ctx) -> std::string {
-    auto* setup = static_cast<PairServiceSetup*>(ctx.setup.get());
-    const PairUdfs& u = setup->spark;
+    const PairUdfs& u = *static_cast<PairUdfs*>(ctx.setup.get());
     DatasetPtr in = MakePairInput(*ctx.spark, u, records);
     DatasetPtr out = ctx.spark->RunStage(in, u.udfs, {NarrowOp::Map(u.double_value, u.pair)});
     std::vector<uint8_t> bytes = DatasetBytes(out);
@@ -82,8 +76,7 @@ JobSpec MixedJob(int kind, int64_t records) {
   JobSpec spec;
   spec.name = "mixed" + std::to_string(kind);
   spec.run = [kind, records](EngineContext& ctx) -> std::string {
-    auto* setup = static_cast<PairServiceSetup*>(ctx.setup.get());
-    const PairUdfs& u = setup->spark;
+    const PairUdfs& u = *static_cast<PairUdfs*>(ctx.setup.get());
     DatasetPtr in = MakePairInput(*ctx.spark, u, records);
     DatasetPtr out;
     switch (kind % 3) {
@@ -254,8 +247,7 @@ void Resilience(bench::JsonWriter& json, int rounds) {
     JobSpec endless;
     endless.name = "endless";
     endless.run = [started](EngineContext& ctx) -> std::string {
-      auto* setup = static_cast<PairServiceSetup*>(ctx.setup.get());
-      const PairUdfs& u = setup->spark;
+      const PairUdfs& u = *static_cast<PairUdfs*>(ctx.setup.get());
       for (;;) {
         DatasetPtr in = MakePairInput(*ctx.spark, u, 400);
         ctx.spark->RunStage(in, u.udfs, {NarrowOp::Map(u.double_value, u.pair)});

@@ -1,5 +1,7 @@
 #include "src/dataflow/spark.h"
 
+#include <unordered_map>
+
 #include "src/analysis/ser_analyzer.h"
 #include "src/ir/builder.h"
 #include "src/runtime/roots.h"
@@ -10,29 +12,9 @@ namespace gerenuk {
 
 namespace {
 
-// Process-mode wire codec for a stage whose task `t` commits one sealed
-// partition into `(*parts)[t]`. Encode ships the partition's shuffle-wire
-// bytes (seal included); decode lands them in the driver's slot. Parse
-// failures are reclassified as the fail-closed TaskError{kCorruptInput}.
-StageCodec PartitionVectorCodec(std::vector<NativePartition>* parts, MemoryTracker* memory) {
-  StageCodec codec;
-  codec.encode = [parts](int task, ByteBuffer* out) {
-    (*parts)[static_cast<size_t>(task)].SerializeTo(*out);
-  };
-  codec.decode = [parts, memory](int task, ByteReader* in) {
-    try {
-      (*parts)[static_cast<size_t>(task)] = NativePartition::Parse(*in, memory);
-    } catch (const WireFormatError& e) {
-      throw TaskError(TaskErrorKind::kCorruptInput, task, 1, 0,
-                      std::string("executor result failed wire parse: ") + e.what());
-    }
-  };
-  return codec;
-}
-
-// Same, for shuffle-map stages: task `t` commits one sealed partition per
-// reduce bucket into `(*buckets)[t]`, concatenated on the wire in bucket
-// order (each partition's trailer delimits it).
+// Process-mode wire codec for shuffle-map stages: task `t` commits one
+// sealed partition per reduce bucket into `(*buckets)[t]`, concatenated on
+// the wire in bucket order (each partition's trailer delimits it).
 StageCodec BucketRowCodec(std::vector<std::vector<NativePartition>>* buckets,
                           MemoryTracker* memory) {
   StageCodec codec;
@@ -98,14 +80,6 @@ class TaskBroadcast {
   bool rooted_ = false;
 };
 
-// One validation gate for the whole config, crossed before any member that
-// consumes a knob (the heap, the scheduler) is built.
-static const EngineConfig& ValidatedEngineConfig(const EngineConfig& config) {
-  const std::string error = config.Validate();
-  GERENUK_CHECK(error.empty()) << "invalid EngineConfig: " << error;
-  return config;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -113,144 +87,47 @@ static const EngineConfig& ValidatedEngineConfig(const EngineConfig& config) {
 // ---------------------------------------------------------------------------
 
 SparkEngine::SparkEngine(const EngineConfig& config)
-    : config_(ValidatedEngineConfig(config)),
-      heap_(std::make_unique<Heap>(HeapConfig{config.execution.heap_bytes, config.execution.gc, 0.55, 0.35, 2})),
-      wk_(std::make_unique<WellKnown>(*heap_)),
-      kryo_(*heap_),
-      inline_serde_(*heap_),
-      governor_(config.fault.governor_abort_threshold, config.fault.governor_min_tasks) {
-  heap_->set_memory_tracker(&memory_);
-  // Worker heaps share the engine's class registry, so Klass pointers in the
-  // driver-compiled programs are valid in every executor context. The engine
-  // WellKnown is built first (above), so the worker contexts find its
-  // classes already defined.
-  // Process executors only make sense for Gerenuk-mode stages (baseline
-  // stages mutate the shared engine heap and always run serially in the
-  // driver).
-  const bool process_mode =
-      config.execution.process_executors && config.execution.mode == EngineMode::kGerenuk;
-  scheduler_ = std::make_unique<TaskScheduler>(
-      config.execution.num_workers, HeapConfig{config.execution.heap_bytes, config.execution.gc, 0.55, 0.35, 2},
-      &heap_->klasses(), &memory_, process_mode);
-  scheduler_->set_retry_policy(config.retry_policy());
-  ExecutorSupervisorConfig supervision;
-  supervision.heartbeat_ms = config.execution.executor_heartbeat_ms;
-  supervision.heartbeat_timeout_ms = config.execution.executor_heartbeat_timeout_ms;
-  supervision.max_executor_relaunches = config.execution.max_executor_relaunches;
-  scheduler_->set_supervisor_config(supervision);
-  if (config.observability.trace) {
-    trace_ = std::make_unique<Trace>(scheduler_->num_workers(), config.observability.trace_buffer_events);
-    scheduler_->set_trace(trace_.get());
-    // Driver-side GC (the engine heap: sources, baseline stages, collect)
-    // reports into the driver's direct sink.
-    heap_->set_trace_sink(trace_->driver());
-  }
-}
+    : SparkEngine(std::make_shared<EngineCore>(config)) {}
+
+SparkEngine::SparkEngine(std::shared_ptr<EngineCore> core) : EngineFrontEnd(std::move(core)) {}
 
 SparkEngine::~SparkEngine() = default;
-
-void SparkEngine::RegisterDataType(const Klass* klass) {
-  std::string error;
-  GERENUK_CHECK(layouts_.AnalyzeTopLevel(klass, &error)) << error;
-  if (!klass->is_array()) {
-    // The collection type T[] (§3.1's third annotation) joins the hierarchy
-    // so flatMap results are recognized as data collections.
-    const Klass* array = heap_->klasses().DefineArray(FieldKind::kRef, klass);
-    GERENUK_CHECK(layouts_.AnalyzeTopLevel(array, &error)) << error;
-  }
-}
-
-DatasetPtr SparkEngine::Source(const Klass* klass, int64_t count,
-                               const std::function<ObjRef(int64_t, RootScope&)>& make) {
-  DatasetPtr ds = MakeSourceDataset(*heap_, inline_serde_, &memory_, config_.execution.mode, klass,
-                                    config_.execution.num_partitions, count, make);
-  // Committed data carries an integrity seal from the moment it exists;
-  // consumers verify it at stage input (DESIGN.md "Fault model & recovery").
-  for (NativePartition& part : ds->native_parts) {
-    part.Seal();
-  }
-  return ds;
-}
 
 BroadcastVar SparkEngine::MakeBroadcast(ObjRef obj, const Klass* klass) {
   BroadcastVar bc;
   bc.klass = klass;
   bc.heap = obj;  // the caller keeps `obj` rooted while the broadcast lives
   ByteBuffer record;
-  inline_serde_.WriteRecord(obj, klass, record);
-  bc.native = NativePartition(&memory_);
+  core_->inline_serde().WriteRecord(obj, klass, record);
+  bc.native = NativePartition(&core_->memory());
   bc.native.AppendRecord(record.data() + 4, static_cast<uint32_t>(record.size() - 4));
   return bc;
 }
 
-void SparkEngine::ResetMetrics() {
-  stats_ = EngineStats{};
-  memory_.ResetPeak();
-  heap_->ResetStats();
-}
-
-MetricsRegistry SparkEngine::metrics() const {
-  MetricsRegistry registry;
-  stats_.ExportTo(&registry);
-  if (trace_ != nullptr) {
-    registry.Merge(trace_->metrics());
-  }
-  return registry;
-}
-
-// ---------------------------------------------------------------------------
-// Stage compilation
-// ---------------------------------------------------------------------------
-
-SparkEngine::CompiledStage SparkEngine::CompileStage(const Klass* in_klass,
-                                                     const SerProgram& udfs,
-                                                     const std::vector<NarrowOp>& ops,
-                                                     bool has_broadcast,
-                                                     const Klass* broadcast_klass) {
-  // The cache is only consulted when the plan compiler is on: an entry
-  // always carries (transformed, plan) as a unit, so a mixed-configuration
-  // engine never receives a plan it was told not to use.
-  PlanCache* cache = config_.execution.use_plan_compiler ? plan_cache_ : nullptr;
-  CompiledStage stage = CompileNarrowStage(config_.execution.mode, layouts_, in_klass, udfs,
-                                           ops, has_broadcast, broadcast_klass,
-                                           &stats_.transform, heap_->klasses(), cache,
-                                           VecSignatureOf(config_.execution));
-  if (config_.execution.mode == EngineMode::kGerenuk) {
-    stats_.stages_compiled += 1;
-    if (stage.cache_hit) {
-      stats_.plan_cache_hits += 1;
-    } else if (config_.execution.use_plan_compiler && stage.transformed != nullptr) {
-      // The transformer may have grown the offset-expression pool; re-fold
-      // before lowering so every now-constant expression becomes an immediate.
-      pool_.FoldConstants();
-      stage.plan = CompilePlan(*stage.transformed, layouts_, plan_options());
-      stats_.plans_compiled += 1;
-      if (cache != nullptr) {
-        cache->Insert(stage.signature, {stage.transformed, stage.plan, nullptr, 0});
-      }
+std::unique_ptr<ShuffleRun> SparkEngine::OpenShuffle(
+    std::vector<std::vector<NativePartition>>* buckets) {
+  const ShuffleOptions& options = core_->config().shuffle;
+  ShuffleConfig sc;
+  sc.spill_threshold_bytes = options.shuffle_spill_threshold_bytes;
+  sc.compress = options.shuffle_compress;
+  sc.fetch_budget_bytes = options.shuffle_fetch_budget_bytes;
+  sc.spill_dir = options.shuffle_spill_dir;
+  sc.tracker = &core_->memory();
+  const int parts = num_partitions();
+  auto run = std::make_unique<ShuffleRun>(parts, parts, sc);
+  // Hand the map outputs over at the barrier, in task-major order (the
+  // determinism contract for spill decisions). Resident unless the spill
+  // threshold says otherwise; consumers fetch spilled blocks on demand under
+  // the credit gate. The run is built before the consuming stage submits,
+  // so process-mode executor children inherit the resident blocks and the
+  // spill-file descriptor through fork.
+  for (int t = 0; t < parts; ++t) {
+    for (int b = 0; b < parts; ++b) {
+      run->Add(t, b, std::move((*buckets)[static_cast<size_t>(t)][static_cast<size_t>(b)]),
+               &core_->stats(), core_->DriverSink());
     }
   }
-  return stage;
-}
-
-SparkEngine::CompiledFn SparkEngine::CompileFn(const SerProgram& udfs, const Function* fn) {
-  PlanCache* cache = config_.execution.use_plan_compiler ? plan_cache_ : nullptr;
-  CompiledFn compiled = CompileSingleFunction(config_.execution.mode, layouts_, udfs, fn,
-                                              &stats_.transform, cache,
-                                              VecSignatureOf(config_.execution));
-  if (compiled.cache_hit) {
-    stats_.plan_cache_hits += 1;
-  } else if (config_.execution.mode == EngineMode::kGerenuk &&
-             config_.execution.use_plan_compiler && compiled.transformed != nullptr) {
-    pool_.FoldConstants();
-    compiled.plan = CompilePlan(*compiled.transformed, layouts_, plan_options());
-    stats_.plans_compiled += 1;
-    if (cache != nullptr) {
-      cache->Insert(compiled.signature,
-                    {compiled.transformed, compiled.plan, compiled.fast_fn, 0});
-    }
-  }
-  return compiled;
+  return run;
 }
 
 // ---------------------------------------------------------------------------
@@ -260,106 +137,70 @@ SparkEngine::CompiledFn SparkEngine::CompileFn(const SerProgram& udfs, const Fun
 DatasetPtr SparkEngine::RunStage(const DatasetPtr& input, const SerProgram& udfs,
                                  const std::vector<NarrowOp>& ops,
                                  const BroadcastVar* broadcast) {
-  CompiledStage stage = CompileStage(input->klass, udfs, ops, broadcast != nullptr,
-                                     broadcast != nullptr ? broadcast->klass : nullptr);
-  return config_.execution.mode == EngineMode::kBaseline ? RunNarrowBaseline(input, stage, broadcast)
-                                               : RunNarrowGerenuk(input, stage, broadcast);
+  StagePrograms stage = core_->CompileStage(input->klass, udfs, ops, broadcast != nullptr,
+                                            broadcast != nullptr ? broadcast->klass : nullptr);
+  return mode() == EngineMode::kBaseline ? RunNarrowBaseline(input, stage, broadcast)
+                                         : RunNarrowGerenuk(input, stage, broadcast);
 }
 
-DatasetPtr SparkEngine::RunNarrowBaseline(const DatasetPtr& input, const CompiledStage& stage,
+DatasetPtr SparkEngine::RunNarrowBaseline(const DatasetPtr& input, const StagePrograms& stage,
                                           const BroadcastVar* broadcast) {
-  int parts = config_.execution.num_partitions;
-  auto out = std::make_shared<Dataset>(*heap_, stage.out_klass, parts, &memory_);
-  ClaimTaskOrdinals(parts);
+  EngineCore& core = *core_;
+  const int parts = num_partitions();
+  auto out = std::make_shared<Dataset>(core.heap(), stage.out_klass, parts, &core.memory());
   std::vector<Value> args;
   if (broadcast != nullptr) {
     args.push_back(Value::Ref(static_cast<int64_t>(broadcast->heap)));
   }
-  TraceSpan stage_span(DriverSink(), TraceEventType::kStage, "narrow");
-  scheduler_->RunStageSerial(
-      parts,
-      [&](WorkerContext& ctx, int p) {
-        ctx.stats().tasks_run += 1;
-        heap_->set_phase_times(&ctx.stats().times);
-        Interpreter interp(*stage.original, *heap_, *wk_, &layouts_, nullptr);
-        size_t cursor = 0;
-        const std::vector<ObjRef>& in_part = input->heap_parts[static_cast<size_t>(p)];
-        std::vector<ObjRef>& out_part = out->heap_parts[static_cast<size_t>(p)];
-        RecordChannel channel;
-        channel.next_heap_record = [&in_part, &cursor]() { return in_part[cursor]; };
-        channel.emit_heap_record = [&out_part](ObjRef ref, const Klass*) {
-          out_part.push_back(ref);
-        };
-        interp.set_channel(&channel);
-        {
-          ComputePhaseScope compute(ctx.stats().times);
-          for (cursor = 0; cursor < in_part.size(); ++cursor) {
-            interp.CallFunction(stage.original->body, args);
-          }
-        }
-        heap_->set_phase_times(nullptr);
-      },
-      &stats_);
+  core.RunBaselineStage("narrow", parts, [&](WorkerContext& ctx, int p) {
+    Interpreter interp(*stage.original, core.heap(), core.wk(), &core.layouts(), nullptr);
+    size_t cursor = 0;
+    const std::vector<ObjRef>& in_part = input->heap_parts[static_cast<size_t>(p)];
+    std::vector<ObjRef>& out_part = out->heap_parts[static_cast<size_t>(p)];
+    RecordChannel channel;
+    channel.next_heap_record = [&in_part, &cursor]() { return in_part[cursor]; };
+    channel.emit_heap_record = [&out_part](ObjRef ref, const Klass*) {
+      out_part.push_back(ref);
+    };
+    interp.set_channel(&channel);
+    ComputePhaseScope compute(ctx.stats().times);
+    for (cursor = 0; cursor < in_part.size(); ++cursor) {
+      interp.CallFunction(stage.original->body, args);
+    }
+  });
   return out;
 }
 
-DatasetPtr SparkEngine::RunNarrowGerenuk(const DatasetPtr& input, const CompiledStage& stage,
+DatasetPtr SparkEngine::RunNarrowGerenuk(const DatasetPtr& input, const StagePrograms& stage,
                                          const BroadcastVar* broadcast) {
-  int parts = config_.execution.num_partitions;
-  auto out = std::make_shared<Dataset>(*heap_, stage.out_klass, parts, &memory_);
-  const int64_t base = ClaimTaskOrdinals(parts);
-  const FaultPlan* faults = ActiveFaults();
-  const bool speculate = ShouldSpeculateFor(stage.signature.hash);
-  const int aborts_before = stats_.aborts;
-  const StageCodec codec = PartitionVectorCodec(&out->native_parts, &memory_);
-  TraceSpan stage_span(DriverSink(), TraceEventType::kStage, "narrow");
-  scheduler_->RunStage(
-      parts,
-      [&](WorkerContext& ctx, int p) {
-        ctx.stats().tasks_run += 1;
-        SerExecutor exec(ctx.heap(), ctx.wk(), layouts_, *stage.original, *stage.transformed);
-        NativePartition& out_part = out->native_parts[static_cast<size_t>(p)];
-        TaskIo io;
-        io.input = &input->native_parts[static_cast<size_t>(p)];
-        io.stage_label = "narrow";
-        io.partition = p;
-        io.task_ordinal = base + p;
-        io.faults = faults;
-        io.attempt = ctx.attempt();
-        io.cancelled = [&ctx] { return ctx.cancelled(); };
-        BindObservability(&io, ctx);
-        TaskBroadcast bc(ctx, broadcast);
-        bc.Bind(&io);
-        io.plan = stage.plan.get();
-        io.emit_native = [&out_part](int64_t addr, const Klass* klass, SerRunner&,
-                                     BuilderStore& builders) {
-          builders.Render(addr, klass, out_part);
-        };
-        io.emit_heap = [&ctx, &out_part](ObjRef ref, const Klass* klass, SerRunner&) {
-          TraceSpan ser_span(ctx.trace_sink(), TraceEventType::kSerialize, "serialize");
-          ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
-          ByteBuffer body;
-          ctx.serde().WriteRecord(ref, klass, body);
-          out_part.AppendRecord(body.data() + 4, static_cast<uint32_t>(body.size() - 4));
-        };
-        io.on_abort = [&out_part] { out_part.Release(); };
-        if (speculate) {
-          SpecOutcome outcome = exec.RunTaskIo(io, ctx.stats().times);
-          if (!outcome.committed_fast_path) {
-            ctx.stats().aborts += outcome.aborts;
-          } else {
-            ctx.stats().fast_path_commits += 1;
-          }
-        } else {
-          exec.RunDirectSlowPath(io, ctx.stats().times);
-          ctx.stats().slow_path_direct += 1;
-        }
-        out_part.Seal();
-      },
-      &stats_, &codec);
-  if (speculate) {
-    ObserveSpeculation(stage.signature.hash, parts, stats_.aborts - aborts_before);
-  }
+  EngineCore& core = *core_;
+  const int parts = num_partitions();
+  auto out = std::make_shared<Dataset>(core.heap(), stage.out_klass, parts, &core.memory());
+  const StageCodec codec = core.PartitionCodec(&out->native_parts);
+  core.RunGerenukStage({"narrow", parts, stage.signature.hash, &codec}, [&](GerenukTask& task) {
+    WorkerContext& ctx = task.ctx;
+    SerExecutor exec(ctx.heap(), ctx.wk(), core.layouts(), *stage.original, *stage.transformed);
+    NativePartition& out_part = out->native_parts[static_cast<size_t>(task.index)];
+    TaskIo& io = task.io;
+    io.input = &input->native_parts[static_cast<size_t>(task.index)];
+    TaskBroadcast bc(ctx, broadcast);
+    bc.Bind(&io);
+    io.plan = stage.plan.get();
+    io.emit_native = [&out_part](int64_t addr, const Klass* klass, SerRunner&,
+                                 BuilderStore& builders) {
+      builders.Render(addr, klass, out_part);
+    };
+    io.emit_heap = [&ctx, &out_part](ObjRef ref, const Klass* klass, SerRunner&) {
+      TraceSpan ser_span(ctx.trace_sink(), TraceEventType::kSerialize, "serialize");
+      ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
+      ByteBuffer body;
+      ctx.serde().WriteRecord(ref, klass, body);
+      out_part.AppendRecord(body.data() + 4, static_cast<uint32_t>(body.size() - 4));
+    };
+    io.on_abort = [&out_part] { out_part.Release(); };
+    task.Run(exec);
+    out_part.Seal();
+  });
   return out;
 }
 
@@ -367,71 +208,65 @@ DatasetPtr SparkEngine::RunNarrowGerenuk(const DatasetPtr& input, const Compiled
 // Shuffles
 // ---------------------------------------------------------------------------
 
-void SparkEngine::ShuffleBaseline(const DatasetPtr& input, const CompiledStage& stage,
-                                  const KeySpec& key, const CompiledFn& key_fn,
+void SparkEngine::ShuffleBaseline(const DatasetPtr& input, const StagePrograms& stage,
+                                  const KeySpec& key, const CompiledFunction& key_fn,
                                   const BroadcastVar* broadcast,
                                   std::vector<std::vector<ByteBuffer>>* buckets,
                                   std::vector<std::vector<int64_t>>* bucket_counts) {
-  int parts = config_.execution.num_partitions;
+  EngineCore& core = *core_;
+  const int parts = num_partitions();
   buckets->clear();
   bucket_counts->clear();
   for (int p = 0; p < parts; ++p) {
     buckets->emplace_back(static_cast<size_t>(parts));
     bucket_counts->emplace_back(static_cast<size_t>(parts), 0);
   }
-  ClaimTaskOrdinals(parts);
   std::vector<Value> args;
   if (broadcast != nullptr) {
     args.push_back(Value::Ref(static_cast<int64_t>(broadcast->heap)));
   }
-  ShuffleKeyHash hasher;
-  TraceSpan stage_span(DriverSink(), TraceEventType::kStage, "shuffle");
-  scheduler_->RunStageSerial(
-      parts,
-      [&](WorkerContext& ctx, int p) {
-        ctx.stats().tasks_run += 1;
-        int64_t shuffle_before = ctx.stats().shuffle_bytes;
-        heap_->set_phase_times(&ctx.stats().times);
-        std::vector<ByteBuffer>& task_buckets = (*buckets)[static_cast<size_t>(p)];
-        std::vector<int64_t>& task_counts = (*bucket_counts)[static_cast<size_t>(p)];
-        Interpreter interp(*stage.original, *heap_, *wk_, &layouts_, nullptr);
-        Interpreter key_interp(*key_fn.original, *heap_, *wk_, &layouts_, nullptr);
-        size_t cursor = 0;
-        const std::vector<ObjRef>& in_part = input->heap_parts[static_cast<size_t>(p)];
-        RecordChannel channel;
-        channel.next_heap_record = [&in_part, &cursor]() { return in_part[cursor]; };
-        channel.emit_heap_record = [this, &ctx, &key_interp, &key_fn, &key, &task_buckets,
-                                    &task_counts, &hasher](ObjRef ref, const Klass* klass) {
-          ShuffleKeyValue k = EvalShuffleKey(key_interp, key_fn.orig_fn,
-                                             Value::Ref(static_cast<int64_t>(ref)), key.is_string);
-          size_t b = hasher(k) % task_buckets.size();
-          ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
-          size_t before = task_buckets[b].size();
-          kryo_.Serialize(ref, klass, task_buckets[b]);
-          ctx.stats().shuffle_bytes += static_cast<int64_t>(task_buckets[b].size() - before);
-          task_counts[b] += 1;
-        };
-        interp.set_channel(&channel);
-        {
-          ComputePhaseScope compute(ctx.stats().times);
-          for (cursor = 0; cursor < in_part.size(); ++cursor) {
-            interp.CallFunction(stage.original->body, args);
-          }
-        }
-        heap_->set_phase_times(nullptr);
-        if (ctx.trace_sink() != nullptr) {
-          ctx.trace_sink()->Counter(TraceEventType::kShuffleBytes, "shuffle_bytes",
-                                    ctx.stats().shuffle_bytes - shuffle_before);
-        }
-      },
-      &stats_);
+  ShuffleKey::Hash hasher;
+  core.RunBaselineStage("shuffle", parts, [&](WorkerContext& ctx, int p) {
+    int64_t shuffle_before = ctx.stats().shuffle_bytes;
+    std::vector<ByteBuffer>& task_buckets = (*buckets)[static_cast<size_t>(p)];
+    std::vector<int64_t>& task_counts = (*bucket_counts)[static_cast<size_t>(p)];
+    Interpreter interp(*stage.original, core.heap(), core.wk(), &core.layouts(), nullptr);
+    Interpreter key_interp(*key_fn.original, core.heap(), core.wk(), &core.layouts(), nullptr);
+    size_t cursor = 0;
+    const std::vector<ObjRef>& in_part = input->heap_parts[static_cast<size_t>(p)];
+    RecordChannel channel;
+    channel.next_heap_record = [&in_part, &cursor]() { return in_part[cursor]; };
+    channel.emit_heap_record = [&core, &ctx, &key_interp, &key_fn, &key, &task_buckets,
+                                &task_counts, &hasher](ObjRef ref, const Klass* klass) {
+      ShuffleKey k = EvalShuffleKey(key_interp, key_fn.orig_fn,
+                                    Value::Ref(static_cast<int64_t>(ref)), key.is_string);
+      size_t b = hasher(k) % task_buckets.size();
+      ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
+      size_t before = task_buckets[b].size();
+      core.kryo().Serialize(ref, klass, task_buckets[b]);
+      ctx.stats().shuffle_bytes += static_cast<int64_t>(task_buckets[b].size() - before);
+      task_counts[b] += 1;
+    };
+    interp.set_channel(&channel);
+    {
+      ComputePhaseScope compute(ctx.stats().times);
+      for (cursor = 0; cursor < in_part.size(); ++cursor) {
+        interp.CallFunction(stage.original->body, args);
+      }
+    }
+    if (ctx.trace_sink() != nullptr) {
+      ctx.trace_sink()->Counter(TraceEventType::kShuffleBytes, "shuffle_bytes",
+                                ctx.stats().shuffle_bytes - shuffle_before);
+    }
+  });
 }
 
-void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& stage,
-                                 const KeySpec& key, const CompiledFn& key_fn,
+void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const StagePrograms& stage,
+                                 const KeySpec& key, const CompiledFunction& key_fn,
                                  const BroadcastVar* broadcast,
                                  std::vector<std::vector<NativePartition>>* buckets) {
-  int parts = config_.execution.num_partitions;
+  EngineCore& core = *core_;
+  const int parts = num_partitions();
   // Per-map-task, per-bucket outputs — the analogue of map output files, so
   // an aborted task discards only its own contribution. All slots are
   // constructed here, before the fan-out, so tasks never mutate the vectors.
@@ -440,98 +275,69 @@ void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& s
     std::vector<NativePartition>& task_buckets = buckets->emplace_back();
     task_buckets.reserve(static_cast<size_t>(parts));
     for (int i = 0; i < parts; ++i) {
-      task_buckets.emplace_back(&memory_);
+      task_buckets.emplace_back(&core.memory());
     }
   }
-  const int64_t base = ClaimTaskOrdinals(parts);
-  const FaultPlan* faults = ActiveFaults();
-  const bool speculate = ShouldSpeculateFor(stage.signature.hash);
-  const int aborts_before = stats_.aborts;
-  ShuffleKeyHash hasher;
-  const StageCodec codec = BucketRowCodec(buckets, &memory_);
-  TraceSpan stage_span(DriverSink(), TraceEventType::kStage, "shuffle");
-  scheduler_->RunStage(
-      parts,
-      [&](WorkerContext& ctx, int p) {
-        ctx.stats().tasks_run += 1;
-        int64_t shuffle_before = ctx.stats().shuffle_bytes;
-        std::vector<NativePartition>& task_buckets = (*buckets)[static_cast<size_t>(p)];
-        SerExecutor exec(ctx.heap(), ctx.wk(), layouts_, *stage.original, *stage.transformed);
-        TaskIo io;
-        io.input = &input->native_parts[static_cast<size_t>(p)];
-        io.stage_label = "shuffle";
-        io.partition = p;
-        io.task_ordinal = base + p;
-        io.faults = faults;
-        io.attempt = ctx.attempt();
-        io.cancelled = [&ctx] { return ctx.cancelled(); };
-        BindObservability(&io, ctx);
-        TaskBroadcast bc(ctx, broadcast);
-        bc.Bind(&io);
-        io.plan = stage.plan.get();
-        if (key_fn.plan != nullptr) {
-          io.extra_plans.push_back(key_fn.plan.get());
-        }
-        // Per-task scratch key: the string buffer survives across records,
-        // so steady-state extractions allocate nothing.
-        auto scratch = std::make_shared<ShuffleKeyValue>();
-        io.emit_native = [&ctx, &key_fn, &key, &task_buckets, &hasher, scratch](
-                             int64_t addr, const Klass* klass, SerRunner& runner,
-                             BuilderStore& builders) {
-          // Key extraction runs the transformed key function directly over
-          // the emitted record (committed bytes or builder).
-          if (EvalShuffleKeyInto(runner, key_fn.fast_fn, Value::Addr(addr), key.is_string,
-                                 scratch.get())) {
-            ctx.stats().key_allocs_saved += 1;
-          }
-          size_t b = hasher(*scratch) % task_buckets.size();
-          int64_t before = task_buckets[b].bytes_used();
-          builders.Render(addr, klass, task_buckets[b]);
-          ctx.stats().shuffle_bytes += task_buckets[b].bytes_used() - before;
-        };
-        io.emit_heap = [&ctx, &key_fn, &key, &task_buckets, &hasher, scratch](
-                           ObjRef ref, const Klass* klass, SerRunner& runner) {
-          if (EvalShuffleKeyInto(runner, key_fn.orig_fn, Value::Ref(static_cast<int64_t>(ref)),
-                                 key.is_string, scratch.get())) {
-            ctx.stats().key_allocs_saved += 1;
-          }
-          const ShuffleKeyValue& k = *scratch;
-          size_t b = hasher(k) % task_buckets.size();
-          TraceSpan ser_span(ctx.trace_sink(), TraceEventType::kSerialize, "serialize");
-          ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
-          ByteBuffer body;
-          ctx.serde().WriteRecord(ref, klass, body);
-          task_buckets[b].AppendRecord(body.data() + 4, static_cast<uint32_t>(body.size() - 4));
-          ctx.stats().shuffle_bytes += static_cast<int64_t>(body.size());
-        };
-        io.on_abort = [&task_buckets] {
-          for (NativePartition& bucket : task_buckets) {
-            bucket.Release();
-          }
-        };
-        if (speculate) {
-          SpecOutcome outcome = exec.RunTaskIo(io, ctx.stats().times);
-          if (!outcome.committed_fast_path) {
-            ctx.stats().aborts += outcome.aborts;
-          } else {
-            ctx.stats().fast_path_commits += 1;
-          }
-        } else {
-          exec.RunDirectSlowPath(io, ctx.stats().times);
-          ctx.stats().slow_path_direct += 1;
-        }
-        for (NativePartition& bucket : task_buckets) {
-          bucket.Seal();
-        }
-        if (ctx.trace_sink() != nullptr) {
-          ctx.trace_sink()->Counter(TraceEventType::kShuffleBytes, "shuffle_bytes",
-                                    ctx.stats().shuffle_bytes - shuffle_before);
-        }
-      },
-      &stats_, &codec);
-  if (speculate) {
-    ObserveSpeculation(stage.signature.hash, parts, stats_.aborts - aborts_before);
-  }
+  ShuffleKey::Hash hasher;
+  const StageCodec codec = BucketRowCodec(buckets, &core.memory());
+  core.RunGerenukStage({"shuffle", parts, stage.signature.hash, &codec}, [&](GerenukTask& task) {
+    WorkerContext& ctx = task.ctx;
+    int64_t shuffle_before = ctx.stats().shuffle_bytes;
+    std::vector<NativePartition>& task_buckets = (*buckets)[static_cast<size_t>(task.index)];
+    SerExecutor exec(ctx.heap(), ctx.wk(), core.layouts(), *stage.original, *stage.transformed);
+    TaskIo& io = task.io;
+    io.input = &input->native_parts[static_cast<size_t>(task.index)];
+    TaskBroadcast bc(ctx, broadcast);
+    bc.Bind(&io);
+    io.plan = stage.plan.get();
+    if (key_fn.plan != nullptr) {
+      io.extra_plans.push_back(key_fn.plan.get());
+    }
+    // Per-task scratch key: the string buffer survives across records,
+    // so steady-state extractions allocate nothing.
+    auto scratch = std::make_shared<ShuffleKey>();
+    io.emit_native = [&ctx, &key_fn, &key, &task_buckets, &hasher, scratch](
+                         int64_t addr, const Klass* klass, SerRunner& runner,
+                         BuilderStore& builders) {
+      // Key extraction runs the transformed key function directly over
+      // the emitted record (committed bytes or builder).
+      if (EvalShuffleKeyInto(runner, key_fn.fast_fn, Value::Addr(addr), key.is_string,
+                             scratch.get())) {
+        ctx.stats().key_allocs_saved += 1;
+      }
+      size_t b = hasher(*scratch) % task_buckets.size();
+      int64_t before = task_buckets[b].bytes_used();
+      builders.Render(addr, klass, task_buckets[b]);
+      ctx.stats().shuffle_bytes += task_buckets[b].bytes_used() - before;
+    };
+    io.emit_heap = [&ctx, &key_fn, &key, &task_buckets, &hasher, scratch](
+                       ObjRef ref, const Klass* klass, SerRunner& runner) {
+      if (EvalShuffleKeyInto(runner, key_fn.orig_fn, Value::Ref(static_cast<int64_t>(ref)),
+                             key.is_string, scratch.get())) {
+        ctx.stats().key_allocs_saved += 1;
+      }
+      size_t b = hasher(*scratch) % task_buckets.size();
+      TraceSpan ser_span(ctx.trace_sink(), TraceEventType::kSerialize, "serialize");
+      ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
+      ByteBuffer body;
+      ctx.serde().WriteRecord(ref, klass, body);
+      task_buckets[b].AppendRecord(body.data() + 4, static_cast<uint32_t>(body.size() - 4));
+      ctx.stats().shuffle_bytes += static_cast<int64_t>(body.size());
+    };
+    io.on_abort = [&task_buckets] {
+      for (NativePartition& bucket : task_buckets) {
+        bucket.Release();
+      }
+    };
+    task.Run(exec);
+    for (NativePartition& bucket : task_buckets) {
+      bucket.Seal();
+    }
+    if (ctx.trace_sink() != nullptr) {
+      ctx.trace_sink()->Counter(TraceEventType::kShuffleBytes, "shuffle_bytes",
+                                ctx.stats().shuffle_bytes - shuffle_before);
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -541,223 +347,193 @@ void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& s
 DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& udfs,
                                     const std::vector<NarrowOp>& pre_ops, const KeySpec& key,
                                     const Function* reduce_fn, const BroadcastVar* broadcast) {
-  CompiledStage stage = CompileStage(input->klass, udfs, pre_ops, broadcast != nullptr,
-                                     broadcast != nullptr ? broadcast->klass : nullptr);
-  CompiledFn key_c = CompileFn(udfs, key.fn);
-  CompiledFn reduce_c = CompileFn(udfs, reduce_fn);
+  EngineCore& core = *core_;
+  StagePrograms stage = core.CompileStage(input->klass, udfs, pre_ops, broadcast != nullptr,
+                                          broadcast != nullptr ? broadcast->klass : nullptr);
+  CompiledFunction key_c = core.CompileFn(udfs, key.fn);
+  CompiledFunction reduce_c = core.CompileFn(udfs, reduce_fn);
   const Klass* rec_klass = stage.out_klass;
-  auto out = std::make_shared<Dataset>(*heap_, rec_klass, config_.execution.num_partitions, &memory_);
+  const int parts = num_partitions();
+  auto out = std::make_shared<Dataset>(core.heap(), rec_klass, parts, &core.memory());
 
-  if (config_.execution.mode == EngineMode::kBaseline) {
+  if (mode() == EngineMode::kBaseline) {
     std::vector<std::vector<ByteBuffer>> buckets;
     std::vector<std::vector<int64_t>> counts;
     ShuffleBaseline(input, stage, key, key_c, broadcast, &buckets, &counts);
 
-    ClaimTaskOrdinals(config_.execution.num_partitions);
-    TraceSpan stage_span(DriverSink(), TraceEventType::kStage, "reduce");
-    scheduler_->RunStageSerial(
-        config_.execution.num_partitions,
-        [&](WorkerContext& ctx, int p) {
-          ctx.stats().tasks_run += 1;
-          heap_->set_phase_times(&ctx.stats().times);
-          Interpreter reduce_interp(*reduce_c.original, *heap_, *wk_, &layouts_, nullptr);
-          Interpreter key_interp(*key_c.original, *heap_, *wk_, &layouts_, nullptr);
-          ComputePhaseScope compute(ctx.stats().times);
-          // Aggregation map: key -> index into the (GC-rooted) value vector.
-          std::unordered_map<ShuffleKeyValue, size_t, ShuffleKeyHash> agg;
-          std::vector<ObjRef> values;
-          heap_->AddRootVector(&values);
-          for (size_t task = 0; task < buckets.size(); ++task) {
-            ByteReader reader(buckets[task][static_cast<size_t>(p)].bytes());
-            for (int64_t r = 0; r < counts[task][static_cast<size_t>(p)]; ++r) {
-              ObjRef rec;
-              {
-                ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
-                rec = kryo_.Deserialize(rec_klass, reader);
-              }
-              RootScope scope(*heap_);
-              size_t rec_slot = scope.Push(rec);
-              ShuffleKeyValue k = EvalShuffleKey(
-                  key_interp, key_c.orig_fn, Value::Ref(static_cast<int64_t>(rec)), key.is_string);
-              auto it = agg.find(k);
-              if (it == agg.end()) {
-                agg.emplace(std::move(k), values.size());
-                values.push_back(scope.Get(rec_slot));
-              } else {
-                Value merged = reduce_interp.CallFunction(
-                    reduce_c.orig_fn, {Value::Ref(static_cast<int64_t>(values[it->second])),
-                                       Value::Ref(static_cast<int64_t>(scope.Get(rec_slot)))});
-                values[it->second] = static_cast<ObjRef>(merged.i);
-              }
-            }
+    core.RunBaselineStage("reduce", parts, [&](WorkerContext& ctx, int p) {
+      Heap& heap = core.heap();
+      Interpreter reduce_interp(*reduce_c.original, heap, core.wk(), &core.layouts(), nullptr);
+      Interpreter key_interp(*key_c.original, heap, core.wk(), &core.layouts(), nullptr);
+      ComputePhaseScope compute(ctx.stats().times);
+      // Aggregation map: key -> index into the (GC-rooted) value vector.
+      std::unordered_map<ShuffleKey, size_t, ShuffleKey::Hash> agg;
+      std::vector<ObjRef> values;
+      heap.AddRootVector(&values);
+      for (size_t task = 0; task < buckets.size(); ++task) {
+        ByteReader reader(buckets[task][static_cast<size_t>(p)].bytes());
+        for (int64_t r = 0; r < counts[task][static_cast<size_t>(p)]; ++r) {
+          ObjRef rec;
+          {
+            ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
+            rec = core.kryo().Deserialize(rec_klass, reader);
           }
-          out->heap_parts[static_cast<size_t>(p)] = values;
-          heap_->RemoveRootVector(&values);
-          heap_->set_phase_times(nullptr);
-        },
-        &stats_);
+          RootScope scope(heap);
+          size_t rec_slot = scope.Push(rec);
+          ShuffleKey k = EvalShuffleKey(key_interp, key_c.orig_fn,
+                                        Value::Ref(static_cast<int64_t>(rec)), key.is_string);
+          auto it = agg.find(k);
+          if (it == agg.end()) {
+            agg.emplace(std::move(k), values.size());
+            values.push_back(scope.Get(rec_slot));
+          } else {
+            Value merged = reduce_interp.CallFunction(
+                reduce_c.orig_fn, {Value::Ref(static_cast<int64_t>(values[it->second])),
+                                   Value::Ref(static_cast<int64_t>(scope.Get(rec_slot)))});
+            values[it->second] = static_cast<ObjRef>(merged.i);
+          }
+        }
+      }
+      out->heap_parts[static_cast<size_t>(p)] = values;
+      heap.RemoveRootVector(&values);
+    });
     return out;
   }
 
   // Gerenuk mode.
   std::vector<std::vector<NativePartition>> buckets;
   ShuffleGerenuk(input, stage, key, key_c, broadcast, &buckets);
+  std::unique_ptr<ShuffleRun> shuffle = OpenShuffle(&buckets);
 
-  // Hand the map outputs to the shuffle service at the barrier, in
-  // task-major order (the determinism contract for spill decisions).
-  // Resident unless the spill threshold says otherwise; reduce tasks fetch
-  // spilled blocks on demand under the credit gate. The run is built before
-  // the reduce stage submits, so process-mode executor children inherit the
-  // resident blocks and the spill-file descriptor through fork.
-  ShuffleRun shuffle(config_.execution.num_partitions, config_.execution.num_partitions, shuffle_config());
-  for (int t = 0; t < config_.execution.num_partitions; ++t) {
-    for (int b = 0; b < config_.execution.num_partitions; ++b) {
-      shuffle.Add(t, b, std::move(buckets[static_cast<size_t>(t)][static_cast<size_t>(b)]),
-                  &stats_, DriverSink());
+  const StageCodec codec = core.PartitionCodec(&out->native_parts);
+  core.RunGerenukStage({"reduce", parts, reduce_c.signature.hash, &codec}, [&](GerenukTask& task) {
+    WorkerContext& ctx = task.ctx;
+    const int p = task.index;
+    const bool speculate = task.speculate;
+    ctx.heap().set_phase_times(&ctx.stats().times);
+    NativePartition& out_part = out->native_parts[static_cast<size_t>(p)];
+    TraceSink* sink = ctx.trace_sink();
+    bool fast_ok = speculate;
+    const int64_t fast_start = (speculate && sink != nullptr) ? sink->Now() : 0;
+    if (speculate) try {
+      BuilderStore builders(core.layouts());
+      std::unique_ptr<SerRunner> reduce_runner = MakeFastRunner(
+          reduce_c.plan.get(), *reduce_c.transformed, ctx.heap(), ctx.wk(), &core.layouts(),
+          &builders, {key_c.plan.get()});
+      SerRunner& reduce_interp = *reduce_runner;
+      ComputePhaseScope compute(ctx.stats().times);
+      struct Entry {
+        int64_t addr;
+        int64_t size;
+      };
+      // The reader owns the bucket's fetched (spilled) blocks, and `agg`
+      // keeps addresses into them for keys seen once — so it stays open
+      // until the output loop below has copied every entry out.
+      BucketReader bucket = shuffle->OpenBucket(p, &ctx.stats(), sink);
+      std::unordered_map<ShuffleKey, Entry, ShuffleKey::Hash> agg;
+      // Reduction results are rendered into a scratch region, compacted
+      // when garbage (superseded intermediates) dominates — region-based
+      // management in miniature.
+      NativePartition scratch(&core.memory());
+      int64_t live_bytes = 0;
+      ShuffleKey scratch_key;
+      bucket.ForEachRecord([&](int64_t addr, uint32_t size) {
+        if (EvalShuffleKeyInto(reduce_interp, key_c.fast_fn, Value::Addr(addr),
+                               key.is_string, &scratch_key)) {
+          ctx.stats().key_allocs_saved += 1;
+        }
+        auto it = agg.find(scratch_key);
+        if (it == agg.end()) {
+          agg.emplace(scratch_key, Entry{addr, static_cast<int64_t>(size)});
+          live_bytes += size;
+        } else {
+          Value merged = reduce_interp.CallFunction(
+              reduce_c.fast_fn, {Value::Addr(it->second.addr), Value::Addr(addr)});
+          ByteBuffer body;
+          builders.RenderBody(merged.i, rec_klass, body);
+          builders.Clear();
+          live_bytes -= it->second.size;
+          it->second.addr = scratch.AppendRecord(body.data(), static_cast<uint32_t>(body.size()));
+          it->second.size = static_cast<int64_t>(body.size());
+          live_bytes += it->second.size;
+          if (scratch.bytes_used() > (8 << 20) && scratch.bytes_used() > 2 * live_bytes) {
+            NativePartition compacted(&core.memory());
+            for (auto& [kk, entry] : agg) {
+              entry.addr = compacted.AppendRecord(reinterpret_cast<const uint8_t*>(entry.addr),
+                                                  static_cast<uint32_t>(entry.size));
+            }
+            scratch = std::move(compacted);
+          }
+        }
+      });
+      for (const auto& [kk, entry] : agg) {
+        out_part.AppendRecord(reinterpret_cast<const uint8_t*>(entry.addr),
+                              static_cast<uint32_t>(entry.size));
+      }
+      ctx.stats().fast_path_commits += 1;
+      if (sink != nullptr) {
+        sink->Span(TraceEventType::kFastPath, "fast_path", fast_start);
+      }
+    } catch (const SerAbort& abort) {
+      // Instant first, span second: the abort timestamp nests inside the
+      // fast-path span, matching the SerExecutor emission order.
+      if (sink != nullptr) {
+        sink->Instant(TraceEventType::kAbort, "abort", static_cast<int64_t>(abort.reason));
+        sink->Span(TraceEventType::kFastPath, "fast_path", fast_start);
+      }
+      fast_ok = false;
     }
-  }
-
-  ClaimTaskOrdinals(config_.execution.num_partitions);
-  const bool speculate = ShouldSpeculateFor(reduce_c.signature.hash);
-  const int aborts_before = stats_.aborts;
-  const StageCodec codec = PartitionVectorCodec(&out->native_parts, &memory_);
-  TraceSpan stage_span(DriverSink(), TraceEventType::kStage, "reduce");
-  scheduler_->RunStage(
-      config_.execution.num_partitions,
-      [&](WorkerContext& ctx, int p) {
-        ctx.stats().tasks_run += 1;
-        ctx.heap().set_phase_times(&ctx.stats().times);
-        NativePartition& out_part = out->native_parts[static_cast<size_t>(p)];
-        auto for_each_record = [&shuffle, &ctx, p](const std::function<void(int64_t, uint32_t)>& fn) {
-          shuffle.ForEachRecordInBucket(p, &ctx.stats(), ctx.trace_sink(), fn);
-        };
-        TraceSink* sink = ctx.trace_sink();
-        bool fast_ok = speculate;
-        const int64_t fast_start = (speculate && sink != nullptr) ? sink->Now() : 0;
-        if (speculate) try {
-          BuilderStore builders(layouts_);
-          std::unique_ptr<SerRunner> reduce_runner = MakeFastRunner(
-              reduce_c.plan.get(), *reduce_c.transformed, ctx.heap(), ctx.wk(), &layouts_,
-              &builders, {key_c.plan.get()});
-          SerRunner& reduce_interp = *reduce_runner;
-          ComputePhaseScope compute(ctx.stats().times);
-          struct Entry {
-            int64_t addr;
-            int64_t size;
-          };
-          std::unordered_map<ShuffleKeyValue, Entry, ShuffleKeyHash> agg;
-          // Reduction results are rendered into a scratch region, compacted
-          // when garbage (superseded intermediates) dominates — region-based
-          // management in miniature.
-          NativePartition scratch(&memory_);
-          int64_t live_bytes = 0;
-          ShuffleKeyValue scratch_key;
-          for_each_record([&](int64_t addr, uint32_t size) {
-            if (EvalShuffleKeyInto(reduce_interp, key_c.fast_fn, Value::Addr(addr),
-                                   key.is_string, &scratch_key)) {
-              ctx.stats().key_allocs_saved += 1;
-            }
-            auto it = agg.find(scratch_key);
-            if (it == agg.end()) {
-              agg.emplace(scratch_key, Entry{addr, static_cast<int64_t>(size)});
-              live_bytes += size;
-            } else {
-              Value merged = reduce_interp.CallFunction(
-                  reduce_c.fast_fn, {Value::Addr(it->second.addr), Value::Addr(addr)});
-              ByteBuffer body;
-              builders.RenderBody(merged.i, rec_klass, body);
-              builders.Clear();
-              live_bytes -= it->second.size;
-              it->second.addr =
-                  scratch.AppendRecord(body.data(), static_cast<uint32_t>(body.size()));
-              it->second.size = static_cast<int64_t>(body.size());
-              live_bytes += it->second.size;
-              if (scratch.bytes_used() > (8 << 20) && scratch.bytes_used() > 2 * live_bytes) {
-                NativePartition compacted(&memory_);
-                for (auto& [kk, entry] : agg) {
-                  entry.addr =
-                      compacted.AppendRecord(reinterpret_cast<const uint8_t*>(entry.addr),
-                                             static_cast<uint32_t>(entry.size));
-                }
-                scratch = std::move(compacted);
-              }
-            }
-          });
-          for (const auto& [kk, entry] : agg) {
-            out_part.AppendRecord(reinterpret_cast<const uint8_t*>(entry.addr),
-                                  static_cast<uint32_t>(entry.size));
-          }
-          ctx.stats().fast_path_commits += 1;
-          if (sink != nullptr) {
-            sink->Span(TraceEventType::kFastPath, "fast_path", fast_start);
-          }
-        } catch (const SerAbort& abort) {
-          // Instant first, span second: the abort timestamp nests inside the
-          // fast-path span, matching the SerExecutor emission order.
-          if (sink != nullptr) {
-            sink->Instant(TraceEventType::kAbort, "abort",
-                          static_cast<int64_t>(abort.reason));
-            sink->Span(TraceEventType::kFastPath, "fast_path", fast_start);
-          }
-          fast_ok = false;
+    if (!fast_ok) {
+      // Reduce-side abort (or governor-degraded routing): run this
+      // bucket on the slow path inside the same worker — sibling reduce
+      // tasks keep running.
+      TraceSpan slow_span(sink, TraceEventType::kSlowPath, "slow_path", speculate ? 0 : 1);
+      if (speculate) {
+        ctx.stats().aborts += 1;
+        out_part.Release();
+      } else {
+        ctx.stats().slow_path_direct += 1;
+      }
+      Interpreter reduce_interp(*reduce_c.original, ctx.heap(), ctx.wk(), &core.layouts(),
+                                nullptr);
+      Interpreter key_interp(*key_c.original, ctx.heap(), ctx.wk(), &core.layouts(), nullptr);
+      ComputePhaseScope compute(ctx.stats().times);
+      std::unordered_map<ShuffleKey, size_t, ShuffleKey::Hash> agg;
+      std::vector<ObjRef> values;
+      ctx.heap().AddRootVector(&values);
+      shuffle->ForEachRecordInBucket(p, &ctx.stats(), sink, [&](int64_t addr, uint32_t size) {
+        ObjRef rec;
+        {
+          ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
+          ByteReader reader(reinterpret_cast<const uint8_t*>(addr), size);
+          rec = ctx.serde().ReadBody(rec_klass, reader);
         }
-        if (!fast_ok) {
-          // Reduce-side abort (or governor-degraded routing): run this
-          // bucket on the slow path inside the same worker — sibling reduce
-          // tasks keep running.
-          TraceSpan slow_span(sink, TraceEventType::kSlowPath, "slow_path",
-                              speculate ? 0 : 1);
-          if (speculate) {
-            ctx.stats().aborts += 1;
-            out_part.Release();
-          } else {
-            ctx.stats().slow_path_direct += 1;
-          }
-          Interpreter reduce_interp(*reduce_c.original, ctx.heap(), ctx.wk(), &layouts_, nullptr);
-          Interpreter key_interp(*key_c.original, ctx.heap(), ctx.wk(), &layouts_, nullptr);
-          ComputePhaseScope compute(ctx.stats().times);
-          std::unordered_map<ShuffleKeyValue, size_t, ShuffleKeyHash> agg;
-          std::vector<ObjRef> values;
-          ctx.heap().AddRootVector(&values);
-          for_each_record([&](int64_t addr, uint32_t size) {
-            ObjRef rec;
-            {
-              ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
-              ByteReader reader(reinterpret_cast<const uint8_t*>(addr), size);
-              rec = ctx.serde().ReadBody(rec_klass, reader);
-            }
-            RootScope scope(ctx.heap());
-            size_t rec_slot = scope.Push(rec);
-            ShuffleKeyValue k = EvalShuffleKey(key_interp, key_c.orig_fn,
-                                               Value::Ref(static_cast<int64_t>(rec)),
-                                               key.is_string);
-            auto it = agg.find(k);
-            if (it == agg.end()) {
-              agg.emplace(std::move(k), values.size());
-              values.push_back(scope.Get(rec_slot));
-            } else {
-              Value merged = reduce_interp.CallFunction(
-                  reduce_c.orig_fn, {Value::Ref(static_cast<int64_t>(values[it->second])),
-                                     Value::Ref(static_cast<int64_t>(scope.Get(rec_slot)))});
-              values[it->second] = static_cast<ObjRef>(merged.i);
-            }
-          });
-          for (ObjRef ref : values) {
-            ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
-            ByteBuffer body;
-            ctx.serde().WriteRecord(ref, rec_klass, body);
-            out_part.AppendRecord(body.data() + 4, static_cast<uint32_t>(body.size() - 4));
-          }
-          ctx.heap().RemoveRootVector(&values);
+        RootScope scope(ctx.heap());
+        size_t rec_slot = scope.Push(rec);
+        ShuffleKey k = EvalShuffleKey(key_interp, key_c.orig_fn,
+                                      Value::Ref(static_cast<int64_t>(rec)), key.is_string);
+        auto it = agg.find(k);
+        if (it == agg.end()) {
+          agg.emplace(std::move(k), values.size());
+          values.push_back(scope.Get(rec_slot));
+        } else {
+          Value merged = reduce_interp.CallFunction(
+              reduce_c.orig_fn, {Value::Ref(static_cast<int64_t>(values[it->second])),
+                                 Value::Ref(static_cast<int64_t>(scope.Get(rec_slot)))});
+          values[it->second] = static_cast<ObjRef>(merged.i);
         }
-        out_part.Seal();
-        ctx.heap().set_phase_times(nullptr);
-      },
-      &stats_, &codec);
-  if (speculate) {
-    ObserveSpeculation(reduce_c.signature.hash, config_.execution.num_partitions,
-                       stats_.aborts - aborts_before);
-  }
+      });
+      for (ObjRef ref : values) {
+        ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
+        ByteBuffer body;
+        ctx.serde().WriteRecord(ref, rec_klass, body);
+        out_part.AppendRecord(body.data() + 4, static_cast<uint32_t>(body.size() - 4));
+      }
+      ctx.heap().RemoveRootVector(&values);
+    }
+    out_part.Seal();
+    ctx.heap().set_phase_times(nullptr);
+  });
   return out;
 }
 
@@ -769,14 +545,16 @@ DatasetPtr SparkEngine::JoinByKey(const DatasetPtr& left, const KeySpec& left_ke
                                   const DatasetPtr& right, const KeySpec& right_key,
                                   const SerProgram& udfs, const Function* combine_fn,
                                   const Klass* out_klass) {
-  CompiledStage left_stage = CompileStage(left->klass, udfs, {}, false, nullptr);
-  CompiledStage right_stage = CompileStage(right->klass, udfs, {}, false, nullptr);
-  CompiledFn lkey = CompileFn(udfs, left_key.fn);
-  CompiledFn rkey = CompileFn(udfs, right_key.fn);
-  CompiledFn combine = CompileFn(udfs, combine_fn);
-  auto out = std::make_shared<Dataset>(*heap_, out_klass, config_.execution.num_partitions, &memory_);
+  EngineCore& core = *core_;
+  StagePrograms left_stage = core.CompileStage(left->klass, udfs, {}, false, nullptr);
+  StagePrograms right_stage = core.CompileStage(right->klass, udfs, {}, false, nullptr);
+  CompiledFunction lkey = core.CompileFn(udfs, left_key.fn);
+  CompiledFunction rkey = core.CompileFn(udfs, right_key.fn);
+  CompiledFunction combine = core.CompileFn(udfs, combine_fn);
+  const int parts = num_partitions();
+  auto out = std::make_shared<Dataset>(core.heap(), out_klass, parts, &core.memory());
 
-  if (config_.execution.mode == EngineMode::kBaseline) {
+  if (mode() == EngineMode::kBaseline) {
     std::vector<std::vector<ByteBuffer>> lb;
     std::vector<std::vector<ByteBuffer>> rb;
     std::vector<std::vector<int64_t>> lc;
@@ -784,65 +562,56 @@ DatasetPtr SparkEngine::JoinByKey(const DatasetPtr& left, const KeySpec& left_ke
     ShuffleBaseline(left, left_stage, left_key, lkey, nullptr, &lb, &lc);
     ShuffleBaseline(right, right_stage, right_key, rkey, nullptr, &rb, &rc);
 
-    ClaimTaskOrdinals(config_.execution.num_partitions);
-    TraceSpan stage_span(DriverSink(), TraceEventType::kStage, "join");
-    scheduler_->RunStageSerial(
-        config_.execution.num_partitions,
-        [&](WorkerContext& ctx, int p) {
-          ctx.stats().tasks_run += 1;
-          heap_->set_phase_times(&ctx.stats().times);
-          Interpreter key_interp_l(*lkey.original, *heap_, *wk_, &layouts_, nullptr);
-          Interpreter key_interp_r(*rkey.original, *heap_, *wk_, &layouts_, nullptr);
-          Interpreter combine_interp(*combine.original, *heap_, *wk_, &layouts_, nullptr);
-          ComputePhaseScope compute(ctx.stats().times);
-          std::unordered_map<ShuffleKeyValue, std::vector<size_t>, ShuffleKeyHash> table;
-          std::vector<ObjRef> lvalues;
-          heap_->AddRootVector(&lvalues);
-          for (size_t task = 0; task < lb.size(); ++task) {
-            ByteReader lreader(lb[task][static_cast<size_t>(p)].bytes());
-            for (int64_t r = 0; r < lc[task][static_cast<size_t>(p)]; ++r) {
-              ObjRef rec;
-              {
-                ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
-                rec = kryo_.Deserialize(left->klass, lreader);
-              }
-              lvalues.push_back(rec);
-              ShuffleKeyValue k =
-                  EvalShuffleKey(key_interp_l, lkey.orig_fn,
-                                 Value::Ref(static_cast<int64_t>(rec)), left_key.is_string);
-              table[k].push_back(lvalues.size() - 1);
-            }
+    core.RunBaselineStage("join", parts, [&](WorkerContext& ctx, int p) {
+      Heap& heap = core.heap();
+      Interpreter key_interp_l(*lkey.original, heap, core.wk(), &core.layouts(), nullptr);
+      Interpreter key_interp_r(*rkey.original, heap, core.wk(), &core.layouts(), nullptr);
+      Interpreter combine_interp(*combine.original, heap, core.wk(), &core.layouts(), nullptr);
+      ComputePhaseScope compute(ctx.stats().times);
+      std::unordered_map<ShuffleKey, std::vector<size_t>, ShuffleKey::Hash> table;
+      std::vector<ObjRef> lvalues;
+      heap.AddRootVector(&lvalues);
+      for (size_t task = 0; task < lb.size(); ++task) {
+        ByteReader lreader(lb[task][static_cast<size_t>(p)].bytes());
+        for (int64_t r = 0; r < lc[task][static_cast<size_t>(p)]; ++r) {
+          ObjRef rec;
+          {
+            ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
+            rec = core.kryo().Deserialize(left->klass, lreader);
           }
-          std::vector<ObjRef>& out_part = out->heap_parts[static_cast<size_t>(p)];
-          for (size_t task = 0; task < rb.size(); ++task) {
-            ByteReader rreader(rb[task][static_cast<size_t>(p)].bytes());
-            for (int64_t r = 0; r < rc[task][static_cast<size_t>(p)]; ++r) {
-              ObjRef rec;
-              {
-                ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
-                rec = kryo_.Deserialize(right->klass, rreader);
-              }
-              RootScope scope(*heap_);
-              size_t rec_slot = scope.Push(rec);
-              ShuffleKeyValue k =
-                  EvalShuffleKey(key_interp_r, rkey.orig_fn,
-                                 Value::Ref(static_cast<int64_t>(rec)), right_key.is_string);
-              auto it = table.find(k);
-              if (it == table.end()) {
-                continue;
-              }
-              for (size_t li : it->second) {
-                Value combined = combine_interp.CallFunction(
-                    combine.orig_fn, {Value::Ref(static_cast<int64_t>(lvalues[li])),
-                                      Value::Ref(static_cast<int64_t>(scope.Get(rec_slot)))});
-                out_part.push_back(static_cast<ObjRef>(combined.i));
-              }
-            }
+          lvalues.push_back(rec);
+          ShuffleKey k = EvalShuffleKey(key_interp_l, lkey.orig_fn,
+                                        Value::Ref(static_cast<int64_t>(rec)), left_key.is_string);
+          table[k].push_back(lvalues.size() - 1);
+        }
+      }
+      std::vector<ObjRef>& out_part = out->heap_parts[static_cast<size_t>(p)];
+      for (size_t task = 0; task < rb.size(); ++task) {
+        ByteReader rreader(rb[task][static_cast<size_t>(p)].bytes());
+        for (int64_t r = 0; r < rc[task][static_cast<size_t>(p)]; ++r) {
+          ObjRef rec;
+          {
+            ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
+            rec = core.kryo().Deserialize(right->klass, rreader);
           }
-          heap_->RemoveRootVector(&lvalues);
-          heap_->set_phase_times(nullptr);
-        },
-        &stats_);
+          RootScope scope(heap);
+          size_t rec_slot = scope.Push(rec);
+          ShuffleKey k = EvalShuffleKey(key_interp_r, rkey.orig_fn,
+                                        Value::Ref(static_cast<int64_t>(rec)), right_key.is_string);
+          auto it = table.find(k);
+          if (it == table.end()) {
+            continue;
+          }
+          for (size_t li : it->second) {
+            Value combined = combine_interp.CallFunction(
+                combine.orig_fn, {Value::Ref(static_cast<int64_t>(lvalues[li])),
+                                  Value::Ref(static_cast<int64_t>(scope.Get(rec_slot)))});
+            out_part.push_back(static_cast<ObjRef>(combined.i));
+          }
+        }
+      }
+      heap.RemoveRootVector(&lvalues);
+    });
     return out;
   }
 
@@ -856,63 +625,52 @@ DatasetPtr SparkEngine::JoinByKey(const DatasetPtr& left, const KeySpec& left_ke
   // held open for the whole probe — its record addresses back the hash
   // table — which is exactly the hold-and-wait shape the credit gate's
   // grace timeout exists for.
-  ShuffleRun lrun(config_.execution.num_partitions, config_.execution.num_partitions, shuffle_config());
-  ShuffleRun rrun(config_.execution.num_partitions, config_.execution.num_partitions, shuffle_config());
-  for (int t = 0; t < config_.execution.num_partitions; ++t) {
-    for (int b = 0; b < config_.execution.num_partitions; ++b) {
-      lrun.Add(t, b, std::move(lb[static_cast<size_t>(t)][static_cast<size_t>(b)]), &stats_,
-               DriverSink());
-      rrun.Add(t, b, std::move(rb[static_cast<size_t>(t)][static_cast<size_t>(b)]), &stats_,
-               DriverSink());
-    }
-  }
+  std::unique_ptr<ShuffleRun> lrun = OpenShuffle(&lb);
+  std::unique_ptr<ShuffleRun> rrun = OpenShuffle(&rb);
 
-  ClaimTaskOrdinals(config_.execution.num_partitions);
-  const StageCodec codec = PartitionVectorCodec(&out->native_parts, &memory_);
-  TraceSpan stage_span(DriverSink(), TraceEventType::kStage, "join");
-  scheduler_->RunStage(
-      config_.execution.num_partitions,
-      [&](WorkerContext& ctx, int p) {
-        ctx.stats().tasks_run += 1;
-        NativePartition& out_part = out->native_parts[static_cast<size_t>(p)];
-        TraceSpan fast_span(ctx.trace_sink(), TraceEventType::kFastPath, "fast_path");
-        BuilderStore builders(layouts_);
-        std::unique_ptr<SerRunner> runner =
-            MakeFastRunner(combine.plan.get(), *combine.transformed, ctx.heap(), ctx.wk(),
-                           &layouts_, &builders, {lkey.plan.get(), rkey.plan.get()});
-        SerRunner& interp = *runner;
-        ComputePhaseScope compute(ctx.stats().times);
-        std::unordered_map<ShuffleKeyValue, std::vector<int64_t>, ShuffleKeyHash> table;
-        ShuffleKeyValue scratch_key;
-        BucketReader build_side = lrun.OpenBucket(p, &ctx.stats(), ctx.trace_sink());
-        build_side.ForEachRecord([&](int64_t addr, uint32_t /*size*/) {
-          if (EvalShuffleKeyInto(interp, lkey.fast_fn, Value::Addr(addr), left_key.is_string,
+  // The join has no slow-path route: it always runs its fast path.
+  const StageCodec codec = core.PartitionCodec(&out->native_parts);
+  core.RunGerenukStage({"join", parts, std::nullopt, &codec}, [&](GerenukTask& task) {
+    WorkerContext& ctx = task.ctx;
+    const int p = task.index;
+    NativePartition& out_part = out->native_parts[static_cast<size_t>(p)];
+    TraceSpan fast_span(ctx.trace_sink(), TraceEventType::kFastPath, "fast_path");
+    BuilderStore builders(core.layouts());
+    std::unique_ptr<SerRunner> runner =
+        MakeFastRunner(combine.plan.get(), *combine.transformed, ctx.heap(), ctx.wk(),
+                       &core.layouts(), &builders, {lkey.plan.get(), rkey.plan.get()});
+    SerRunner& interp = *runner;
+    ComputePhaseScope compute(ctx.stats().times);
+    std::unordered_map<ShuffleKey, std::vector<int64_t>, ShuffleKey::Hash> table;
+    ShuffleKey scratch_key;
+    BucketReader build_side = lrun->OpenBucket(p, &ctx.stats(), ctx.trace_sink());
+    build_side.ForEachRecord([&](int64_t addr, uint32_t /*size*/) {
+      if (EvalShuffleKeyInto(interp, lkey.fast_fn, Value::Addr(addr), left_key.is_string,
+                             &scratch_key)) {
+        ctx.stats().key_allocs_saved += 1;
+      }
+      table[scratch_key].push_back(addr);
+    });
+    rrun->ForEachRecordInBucket(
+        p, &ctx.stats(), ctx.trace_sink(), [&](int64_t addr, uint32_t /*size*/) {
+          if (EvalShuffleKeyInto(interp, rkey.fast_fn, Value::Addr(addr), right_key.is_string,
                                  &scratch_key)) {
             ctx.stats().key_allocs_saved += 1;
           }
-          table[scratch_key].push_back(addr);
+          auto it = table.find(scratch_key);
+          if (it == table.end()) {
+            return;
+          }
+          for (int64_t laddr : it->second) {
+            Value combined =
+                interp.CallFunction(combine.fast_fn, {Value::Addr(laddr), Value::Addr(addr)});
+            builders.Render(combined.i, out_klass, out_part);
+            builders.Clear();
+          }
         });
-        rrun.ForEachRecordInBucket(
-            p, &ctx.stats(), ctx.trace_sink(), [&](int64_t addr, uint32_t /*size*/) {
-              if (EvalShuffleKeyInto(interp, rkey.fast_fn, Value::Addr(addr),
-                                     right_key.is_string, &scratch_key)) {
-                ctx.stats().key_allocs_saved += 1;
-              }
-              auto it = table.find(scratch_key);
-              if (it == table.end()) {
-                return;
-              }
-              for (int64_t laddr : it->second) {
-                Value combined = interp.CallFunction(combine.fast_fn,
-                                                     {Value::Addr(laddr), Value::Addr(addr)});
-                builders.Render(combined.i, out_klass, out_part);
-                builders.Clear();
-              }
-            });
-        ctx.stats().fast_path_commits += 1;
-        out_part.Seal();
-      },
-      &stats_, &codec);
+    ctx.stats().fast_path_commits += 1;
+    out_part.Seal();
+  });
   return out;
 }
 
@@ -922,7 +680,7 @@ DatasetPtr SparkEngine::JoinByKey(const DatasetPtr& left, const KeySpec& left_ke
 
 std::vector<size_t> SparkEngine::CollectToHeap(const DatasetPtr& dataset, RootScope& scope) {
   std::vector<size_t> slots;
-  if (config_.execution.mode == EngineMode::kBaseline) {
+  if (mode() == EngineMode::kBaseline) {
     for (const auto& part : dataset->heap_parts) {
       for (ObjRef ref : part) {
         slots.push_back(scope.Push(ref));
@@ -934,7 +692,7 @@ std::vector<size_t> SparkEngine::CollectToHeap(const DatasetPtr& dataset, RootSc
     for (size_t r = 0; r < part.record_count(); ++r) {
       ByteReader reader(reinterpret_cast<const uint8_t*>(part.record_addr(r)),
                         part.record_size(r));
-      slots.push_back(scope.Push(inline_serde_.ReadBody(dataset->klass, reader)));
+      slots.push_back(scope.Push(core_->inline_serde().ReadBody(dataset->klass, reader)));
     }
   }
   return slots;

@@ -3,9 +3,10 @@
 //
 // Gerenuk's correctness story is "speculate; when an assumption breaks,
 // abort and re-execute" — but a production executor survives far more than
-// the one failure the paper models. This header generalizes the original
-// FaultPlan (deterministic forced SER aborts) into a FaultInjector covering
-// five reproducible fault kinds, and adds the recovery-side vocabulary:
+// the one failure the paper models. This header generalizes deterministic
+// forced SER aborts into a FaultInjector covering five reproducible fault
+// kinds (the engines expose it as fault_plan()), and adds the recovery-side
+// vocabulary:
 //
 //   * FaultInjector — deterministic, (task ordinal, record)-keyed faults:
 //     forced SER abort (the paper's Fig. 10(b) hook), a task exception at
@@ -222,8 +223,7 @@ class FaultInjector {
   bool empty() const { return faults_.empty(); }
   void Clear() { faults_.clear(); }
 
-  // Legacy FaultPlan interface: a forced SER abort, firing on every attempt
-  // (matching the old plan, which knew nothing of retries).
+  // A forced SER abort (the Fig. 10(b) hook), firing on every attempt.
   void AbortTask(int64_t task_ordinal, int64_t record = kLateInTask) {
     Add(task_ordinal, FaultSpec{FaultKind::kSerAbort, record, 0, -1});
   }
@@ -283,10 +283,6 @@ class FaultInjector {
 
   std::unordered_map<int64_t, std::vector<FaultSpec>> faults_;
 };
-
-// The pre-generalization name; the engines' fault_plan() accessor and the
-// abort experiments predate the other fault kinds.
-using FaultPlan = FaultInjector;
 
 // ---------------------------------------------------------------------------
 // Adaptive speculation governor

@@ -237,7 +237,7 @@ SpecOutcome SerExecutor::RunTaskIo(TaskIo& io, PhaseTimes& times) {
 }
 
 SpecOutcome SerExecutor::RunTask(const NativePartition& input, NativePartition* output,
-                                 PhaseTimes& times, const FaultPlan* faults,
+                                 PhaseTimes& times, const FaultInjector* faults,
                                  int64_t task_ordinal) {
   InlineSerializer serde(heap_);
   TaskIo io;

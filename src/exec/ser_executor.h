@@ -72,7 +72,7 @@ struct TaskIo {
   // plan. A null plan disables injection. A non-empty plan requires a
   // non-negative ordinal (RunTaskIo checks).
   int64_t task_ordinal = -1;
-  const FaultPlan* faults = nullptr;
+  const FaultInjector* faults = nullptr;
   // Attempt number of this execution (1-based; the scheduler's retry state),
   // used to gate fault re-firing and stamped into TaskErrors.
   int attempt = 1;
@@ -111,7 +111,7 @@ class SerExecutor {
   // keys into the plan and must be non-negative if the plan is non-empty —
   // the default matches TaskIo's "no ordinal assigned" sentinel).
   SpecOutcome RunTask(const NativePartition& input, NativePartition* output, PhaseTimes& times,
-                      const FaultPlan* faults = nullptr, int64_t task_ordinal = -1);
+                      const FaultInjector* faults = nullptr, int64_t task_ordinal = -1);
 
   // Runs only the slow path (used by the unmodified-baseline engines and by
   // tests that need reference output).

@@ -1,10 +1,31 @@
 #include "src/mapreduce/hadoop.h"
 
 #include <algorithm>
-#include <numeric>
 #include <string>
 
 namespace gerenuk {
+
+// Per reducer partition: records in key order, with the keys alongside.
+// Baseline keeps Kryo bytes; Gerenuk keeps native records.
+struct MapSegment {
+  std::vector<std::vector<ShuffleKey>> keys;    // per partition, sorted
+  std::vector<ByteBuffer> wire;                 // kBaseline: concatenated records
+  std::vector<std::vector<size_t>> wire_offsets;
+  std::vector<NativePartition> native;          // kGerenuk
+
+  MapSegment(int partitions, MemoryTracker* tracker, EngineMode mode) {
+    keys.resize(static_cast<size_t>(partitions));
+    if (mode == EngineMode::kBaseline) {
+      wire.resize(static_cast<size_t>(partitions));
+      wire_offsets.resize(static_cast<size_t>(partitions));
+    } else {
+      native.reserve(static_cast<size_t>(partitions));
+      for (int i = 0; i < partitions; ++i) {
+        native.emplace_back(tracker);
+      }
+    }
+  }
+};
 
 namespace {
 
@@ -26,8 +47,160 @@ bool EntryOrder(const BufferEntry& a, const BufferEntry& b) {
   return a.key < b.key;
 }
 
-// One validation gate for the whole config, crossed before any member that
-// consumes a knob (the heap, the scheduler) is built.
+// Calls fn(i, j) for every maximal run [i, j) of adjacent items `same`
+// considers equal.
+template <typename T, typename Same, typename Fn>
+void ForEachRun(const std::vector<T>& items, const Same& same, const Fn& fn) {
+  size_t i = 0;
+  while (i < items.size()) {
+    size_t j = i + 1;
+    while (j < items.size() && same(items[i], items[j])) {
+      ++j;
+    }
+    fn(i, j);
+    i = j;
+  }
+}
+
+// Sorts a map task's buffered emits and calls fn(i, j) per (reducer, key)
+// run.
+template <typename Fn>
+void ForEachSortedRun(std::vector<BufferEntry>* entries, const Fn& fn) {
+  std::sort(entries->begin(), entries->end(), EntryOrder);
+  ForEachRun(*entries,
+             [](const BufferEntry& a, const BufferEntry& b) {
+               return a.part == b.part && a.key == b.key;
+             },
+             fn);
+}
+
+// One record of a reducer's merged input: an index into a segment's run.
+struct SegRef {
+  const MapSegment* segment;
+  size_t index;
+};
+
+// Gathers reducer `r`'s runs from every segment, sorted by key. Segments
+// are complete and read-only by then (the map-stage barrier), so reduce
+// tasks may build this concurrently.
+std::vector<SegRef> MergedRefs(const std::vector<MapSegment>& segments, int r) {
+  const size_t part = static_cast<size_t>(r);
+  std::vector<SegRef> refs;
+  for (const MapSegment& segment : segments) {
+    for (size_t i = 0; i < segment.keys[part].size(); ++i) {
+      refs.push_back({&segment, i});
+    }
+  }
+  std::sort(refs.begin(), refs.end(), [part](const SegRef& a, const SegRef& b) {
+    return a.segment->keys[part][a.index] < b.segment->keys[part][b.index];
+  });
+  return refs;
+}
+
+// Calls fn(i, j) for every equal-key group [i, j) of reducer `r`'s refs.
+template <typename Fn>
+void ForEachKeyGroup(const std::vector<SegRef>& refs, int r, const Fn& fn) {
+  const size_t part = static_cast<size_t>(r);
+  ForEachRun(refs,
+             [part](const SegRef& a, const SegRef& b) {
+               return a.segment->keys[part][a.index] == b.segment->keys[part][b.index];
+             },
+             fn);
+}
+
+// Process-mode wire codec for the Gerenuk map stage: a map task's output is
+// its ordered segment list — per segment, per reducer partition, the sorted
+// key run ({u8 is_string, i64 i, varlen string}) followed by the
+// partition's native record bytes (self-delimiting trailer). Hadoop's map
+// output stays resident in segments (the IFile analogue that reducers merge
+// with the key runs alongside the bytes), so it ships whole over the
+// executor channel rather than routing through the spilling ShuffleRun.
+StageCodec SegmentListCodec(std::vector<std::vector<MapSegment>>* task_segments, int reducers,
+                            MemoryTracker* memory) {
+  StageCodec codec;
+  codec.encode = [task_segments, reducers](int task, ByteBuffer* out) {
+    const std::vector<MapSegment>& list = (*task_segments)[static_cast<size_t>(task)];
+    out->WriteU32(static_cast<uint32_t>(list.size()));
+    for (const MapSegment& segment : list) {
+      for (int r = 0; r < reducers; ++r) {
+        const std::vector<ShuffleKey>& ks = segment.keys[static_cast<size_t>(r)];
+        out->WriteU32(static_cast<uint32_t>(ks.size()));
+        for (const ShuffleKey& k : ks) {
+          out->WriteU8(k.is_string ? 1 : 0);
+          out->WriteI64(k.i);
+          out->WriteString(k.s);
+        }
+        segment.native[static_cast<size_t>(r)].SerializeTo(*out);
+      }
+    }
+  };
+  codec.decode = [task_segments, reducers, memory](int task, ByteReader* in) {
+    // Fail closed on structural damage: guard every length against the
+    // frame's remaining bytes before reading (ByteReader itself aborts on
+    // overrun), and reclassify as the non-retryable kCorruptInput.
+    auto require = [task](bool ok) {
+      if (!ok) {
+        throw TaskError(TaskErrorKind::kCorruptInput, task, 1, 0,
+                        "map segment wire bytes truncated or over-long");
+      }
+    };
+    // ByteReader::ReadString aborts on an over-long varlen; decode the
+    // prefix by hand so a damaged length fails closed instead.
+    auto read_string = [&require](ByteReader* in) {
+      uint32_t len = 0;
+      int shift = 0;
+      while (true) {
+        require(in->remaining() >= 1);
+        uint8_t byte = in->ReadU8();
+        len |= static_cast<uint32_t>(byte & 0x7f) << shift;
+        if ((byte & 0x80) == 0) {
+          break;
+        }
+        shift += 7;
+        require(shift <= 28);
+      }
+      require(len <= in->remaining());
+      std::string s(len, '\0');
+      if (len > 0) {
+        in->ReadBytes(&s[0], len);
+      }
+      return s;
+    };
+    std::vector<MapSegment>& list = (*task_segments)[static_cast<size_t>(task)];
+    list.clear();
+    try {
+      require(in->remaining() >= 4);
+      uint32_t num_segments = in->ReadU32();
+      for (uint32_t s = 0; s < num_segments; ++s) {
+        require(in->remaining() >= 4);  // a segment is at least one key count
+        MapSegment segment(reducers, memory, EngineMode::kGerenuk);
+        for (int r = 0; r < reducers; ++r) {
+          require(in->remaining() >= 4);
+          uint32_t num_keys = in->ReadU32();
+          // Each key is >= 10 bytes (u8 + i64 + 1-byte varlen).
+          require(num_keys <= in->remaining() / 10);
+          std::vector<ShuffleKey>& ks = segment.keys[static_cast<size_t>(r)];
+          ks.resize(num_keys);
+          for (uint32_t k = 0; k < num_keys; ++k) {
+            require(in->remaining() >= 10);
+            ks[k].is_string = in->ReadU8() != 0;
+            ks[k].i = in->ReadI64();
+            ks[k].s = read_string(in);
+          }
+          segment.native[static_cast<size_t>(r)] = NativePartition::Parse(*in, memory);
+        }
+        list.push_back(std::move(segment));
+      }
+    } catch (const WireFormatError& e) {
+      throw TaskError(TaskErrorKind::kCorruptInput, task, 1, 0,
+                      std::string("map segment failed wire parse: ") + e.what());
+    }
+  };
+  return codec;
+}
+
+// One validation gate for the whole config, crossed before the core (which
+// consumes the engine knobs) is built.
 const HadoopConfig& ValidatedHadoopConfig(const HadoopConfig& config) {
   const std::string error = config.Validate();
   GERENUK_CHECK(error.empty()) << "invalid HadoopConfig: " << error;
@@ -36,758 +209,457 @@ const HadoopConfig& ValidatedHadoopConfig(const HadoopConfig& config) {
 
 }  // namespace
 
-HadoopEngine::Segment::Segment(int partitions, MemoryTracker* tracker, EngineMode mode) {
-  keys.resize(static_cast<size_t>(partitions));
-  if (mode == EngineMode::kBaseline) {
-    wire.resize(static_cast<size_t>(partitions));
-    wire_offsets.resize(static_cast<size_t>(partitions));
-  } else {
-    native.reserve(static_cast<size_t>(partitions));
-    for (int i = 0; i < partitions; ++i) {
-      native.emplace_back(tracker);
-    }
-  }
-}
-
 HadoopEngine::HadoopEngine(const HadoopConfig& config)
-    : config_(ValidatedHadoopConfig(config)),
-      heap_(std::make_unique<Heap>(HeapConfig{config.engine.execution.heap_bytes, config.engine.execution.gc, 0.55, 0.35, 2})),
-      wk_(std::make_unique<WellKnown>(*heap_)),
-      kryo_(*heap_),
-      inline_serde_(*heap_),
-      governor_(config.engine.fault.governor_abort_threshold, config.engine.fault.governor_min_tasks) {
-  heap_->set_memory_tracker(&memory_);
-  // Worker heaps share the engine's class registry (see TaskScheduler); the
-  // engine WellKnown above defines the well-known classes first.
-  // Process executors apply to Gerenuk-mode stages only (baseline stages
-  // mutate the shared engine heap and run serially in the driver).
-  const bool process_mode =
-      config.engine.execution.process_executors && config.engine.execution.mode == EngineMode::kGerenuk;
-  scheduler_ = std::make_unique<TaskScheduler>(
-      config.engine.execution.num_workers, HeapConfig{config.engine.execution.heap_bytes, config.engine.execution.gc, 0.55, 0.35, 2},
-      &heap_->klasses(), &memory_, process_mode);
-  scheduler_->set_retry_policy(config.engine.retry_policy());
-  ExecutorSupervisorConfig supervision;
-  supervision.heartbeat_ms = config.engine.execution.executor_heartbeat_ms;
-  supervision.heartbeat_timeout_ms = config.engine.execution.executor_heartbeat_timeout_ms;
-  supervision.max_executor_relaunches = config.engine.execution.max_executor_relaunches;
-  scheduler_->set_supervisor_config(supervision);
-  if (config.engine.observability.trace) {
-    trace_ = std::make_unique<Trace>(scheduler_->num_workers(), config.engine.observability.trace_buffer_events);
-    scheduler_->set_trace(trace_.get());
-    // Driver-side GC (sources, baseline phases, Yak epochs) reports into
-    // the driver's direct sink.
-    heap_->set_trace_sink(trace_->driver());
-  }
+    : HadoopEngine(std::make_shared<EngineCore>(ValidatedHadoopConfig(config).engine), config) {}
+
+HadoopEngine::HadoopEngine(std::shared_ptr<EngineCore> core, const HadoopConfig& config)
+    : EngineFrontEnd(std::move(core)), config_(config) {
+  config_.engine = core_->config();
+  ValidatedHadoopConfig(config_);
 }
 
 HadoopEngine::~HadoopEngine() = default;
-
-void HadoopEngine::RegisterDataType(const Klass* klass) {
-  std::string error;
-  GERENUK_CHECK(layouts_.AnalyzeTopLevel(klass, &error)) << error;
-  if (!klass->is_array()) {
-    const Klass* array = heap_->klasses().DefineArray(FieldKind::kRef, klass);
-    GERENUK_CHECK(layouts_.AnalyzeTopLevel(array, &error)) << error;
-  }
-}
-
-DatasetPtr HadoopEngine::Source(const Klass* klass, int64_t count,
-                                const std::function<ObjRef(int64_t, RootScope&)>& make) {
-  DatasetPtr ds = MakeSourceDataset(*heap_, inline_serde_, &memory_, config_.engine.execution.mode, klass,
-                                    config_.engine.execution.num_partitions, count, make);
-  // Seal committed inputs so map tasks verify integrity at stage input.
-  for (NativePartition& part : ds->native_parts) {
-    part.Seal();
-  }
-  return ds;
-}
-
-void HadoopEngine::ResetMetrics() {
-  stats_ = EngineStats{};
-  memory_.ResetPeak();
-  heap_->ResetStats();
-}
-
-MetricsRegistry HadoopEngine::metrics() const {
-  MetricsRegistry registry;
-  stats_.ExportTo(&registry);
-  if (trace_ != nullptr) {
-    registry.Merge(trace_->metrics());
-  }
-  return registry;
-}
 
 DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
                                 const Function* map_fn, const Klass* out_klass,
                                 const KeySpec& key, const Function* reduce_fn,
                                 const Function* combiner_fn) {
-  const int reducers = config_.num_reducers;
-  // See SparkEngine::CompileStage: the cache is consulted only when the plan
-  // compiler is on, and entries carry (transformed, plan) as a unit.
-  PlanCache* cache = config_.engine.execution.use_plan_compiler ? plan_cache_ : nullptr;
-  const VecSignature vec = VecSignatureOf(config_.engine.execution);
-  StagePrograms map_stage =
-      CompileNarrowStage(config_.engine.execution.mode, layouts_, input->klass, udfs,
-                         {NarrowOp::FlatMap(map_fn, out_klass)}, false, nullptr,
-                         &stats_.transform, heap_->klasses(), cache, vec);
-  CompiledFunction key_c = CompileSingleFunction(config_.engine.execution.mode, layouts_, udfs,
-                                                 key.fn, &stats_.transform, cache, vec);
-  CompiledFunction reduce_c =
-      CompileSingleFunction(config_.engine.execution.mode, layouts_, udfs, reduce_fn,
-                            &stats_.transform, cache, vec);
-  CompiledFunction combine_c;
+  JobPrograms job;
+  job.map = core_->CompileStage(input->klass, udfs, {NarrowOp::FlatMap(map_fn, out_klass)},
+                                false, nullptr);
+  job.key = core_->CompileFn(udfs, key.fn);
+  job.reduce = core_->CompileFn(udfs, reduce_fn);
   if (combiner_fn != nullptr) {
-    combine_c = CompileSingleFunction(config_.engine.execution.mode, layouts_, udfs,
-                                      combiner_fn, &stats_.transform, cache, vec);
+    job.combine = core_->CompileFn(udfs, combiner_fn);
   }
-  if (config_.engine.execution.mode == EngineMode::kGerenuk &&
-      config_.engine.execution.use_plan_compiler) {
-    // Transformation may have grown the offset-expression pool; fold before
-    // lowering so now-constant expressions become plan immediates.
-    pool_.FoldConstants();
-    auto stage_plan = [&](StagePrograms* stage) {
-      if (stage->cache_hit) {
-        stats_.plan_cache_hits += 1;
-        return;
-      }
-      stage->plan = CompilePlan(*stage->transformed, layouts_, plan_options());
-      stats_.plans_compiled += 1;
-      if (cache != nullptr) {
-        cache->Insert(stage->signature, {stage->transformed, stage->plan, nullptr, 0});
-      }
-    };
-    auto fn_plan = [&](CompiledFunction* fn) {
-      if (fn->cache_hit) {
-        stats_.plan_cache_hits += 1;
-        return;
-      }
-      fn->plan = CompilePlan(*fn->transformed, layouts_, plan_options());
-      stats_.plans_compiled += 1;
-      if (cache != nullptr) {
-        cache->Insert(fn->signature, {fn->transformed, fn->plan, fn->fast_fn, 0});
-      }
-    };
-    stage_plan(&map_stage);
-    fn_plan(&key_c);
-    fn_plan(&reduce_c);
-    if (combiner_fn != nullptr) {
-      fn_plan(&combine_c);
-    }
+  job.key_spec = key;
+  job.out_klass = out_klass;
+  job.has_combiner = combiner_fn != nullptr;
+  if (mode() == EngineMode::kBaseline) {
+    return ReduceBaseline(MapBaseline(input, job), job);
   }
+  return ReduceGerenuk(MapGerenuk(input, job), job);
+}
 
-  std::vector<Segment> segments;
+// ---------------------------------------------------------------------------
+// Map phase (sort/spill/combine)
+// ---------------------------------------------------------------------------
+
+std::vector<MapSegment> HadoopEngine::MapBaseline(const DatasetPtr& input,
+                                                  const JobPrograms& job) {
+  EngineCore& core = *core_;
+  Heap& heap = core.heap();
+  const int reducers = config_.num_reducers;
+  std::vector<MapSegment> segments;
   ShuffleKey::Hash hasher;
-
-  // -------------------------------------------------------------------------
-  // Map phase (with sort/spill/combine)
-  // -------------------------------------------------------------------------
   // One map task per input split: chained jobs feed a previous job's output
   // in, whose partition count is the previous reducer count.
-  int map_tasks = config_.engine.execution.mode == EngineMode::kBaseline
-                      ? static_cast<int>(input->heap_parts.size())
-                      : static_cast<int>(input->native_parts.size());
+  const int map_tasks = static_cast<int>(input->heap_parts.size());
+  core.RunBaselineStage("map", map_tasks, [&](WorkerContext& ctx, int task) {
+    ctx.stats().map_tasks += 1;
+    int64_t shuffle_before = ctx.stats().shuffle_bytes;
+    if (config_.yak_epochs) {
+      heap.EpochStart();  // Yak: data objects of this task go to a region
+    }
+    Interpreter interp(*job.map.original, heap, core.wk(), &core.layouts(), nullptr);
+    Interpreter key_interp(*job.key.original, heap, core.wk(), &core.layouts(), nullptr);
+    Interpreter combine_interp(job.has_combiner ? *job.combine.original : *job.key.original,
+                               heap, core.wk(), &core.layouts(), nullptr);
+    ByteBuffer buffer;
+    std::vector<BufferEntry> entries;
 
-  bool epochs = config_.yak_epochs && config_.engine.execution.mode == EngineMode::kBaseline;
-  const int64_t map_base = ClaimTaskOrdinals(map_tasks);
-  const FaultPlan* faults = fault_plan_.empty() ? nullptr : &fault_plan_;
-
-  if (config_.engine.execution.mode == EngineMode::kBaseline) {
-    TraceSpan map_span(DriverSink(), TraceEventType::kStage, "map");
-    scheduler_->RunStageSerial(
-        map_tasks,
-        [&](WorkerContext& ctx, int task) {
-          ctx.stats().map_tasks += 1;
-          ctx.stats().tasks_run += 1;
-          int64_t shuffle_before = ctx.stats().shuffle_bytes;
-          heap_->set_phase_times(&ctx.stats().times);
-          if (epochs) {
-            heap_->EpochStart();  // Yak: data objects of this task go to a region
-          }
-          Interpreter interp(*map_stage.original, *heap_, *wk_, &layouts_, nullptr);
-          Interpreter key_interp(*key_c.original, *heap_, *wk_, &layouts_, nullptr);
-          Interpreter combine_interp(combiner_fn != nullptr ? *combine_c.original
-                                                            : *key_c.original,
-                                     *heap_, *wk_, &layouts_, nullptr);
-          ByteBuffer buffer;
-          std::vector<BufferEntry> entries;
-
-          auto spill = [&]() {
-            if (entries.empty()) {
-              return;
-            }
-            ctx.stats().spills += 1;
-            std::sort(entries.begin(), entries.end(), EntryOrder);
-            Segment segment(reducers, &memory_, config_.engine.execution.mode);
-            size_t i = 0;
-            while (i < entries.size()) {
-              size_t j = i + 1;
-              while (j < entries.size() && entries[j].part == entries[i].part &&
-                     entries[j].key == entries[i].key) {
-                ++j;
-              }
-              int part = entries[i].part;
-              ByteBuffer& out = segment.wire[static_cast<size_t>(part)];
-              if (combiner_fn != nullptr && j - i > 1) {
-                // Combine the run: deserialize, fold, re-serialize (the cost
-                // Hadoop pays for map-side combining).
-                RootScope scope(*heap_);
-                size_t acc = 0;
-                for (size_t r = i; r < j; ++r) {
-                  ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
-                  ByteReader reader(buffer.data() + entries[r].offset, entries[r].length);
-                  size_t rec = scope.Push(kryo_.Deserialize(out_klass, reader));
-                  if (r == i) {
-                    acc = rec;
-                  } else {
-                    ctx.stats().combine_calls += 1;
-                    Value merged = combine_interp.CallFunction(
-                        combine_c.orig_fn,
-                        {Value::Ref(static_cast<int64_t>(scope.Get(acc))),
-                         Value::Ref(static_cast<int64_t>(scope.Get(rec)))});
-                    scope.Set(acc, static_cast<ObjRef>(merged.i));
-                  }
-                }
-                ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
-                segment.keys[static_cast<size_t>(part)].push_back(entries[i].key);
-                segment.wire_offsets[static_cast<size_t>(part)].push_back(out.size());
-                kryo_.Serialize(scope.Get(acc), out_klass, out);
-              } else {
-                for (size_t r = i; r < j; ++r) {
-                  segment.keys[static_cast<size_t>(part)].push_back(entries[r].key);
-                  segment.wire_offsets[static_cast<size_t>(part)].push_back(out.size());
-                  out.WriteBytes(buffer.data() + entries[r].offset, entries[r].length);
-                }
-              }
-              i = j;
-            }
-            for (const ByteBuffer& out : segment.wire) {
-              ctx.stats().shuffle_bytes += static_cast<int64_t>(out.size());
-            }
-            segments.push_back(std::move(segment));  // serial stage: task order
-            buffer.Clear();
-            entries.clear();
-          };
-
-          size_t cursor = 0;
-          const std::vector<ObjRef>& in_part = input->heap_parts[static_cast<size_t>(task)];
-          RecordChannel channel;
-          channel.next_heap_record = [&in_part, &cursor]() { return in_part[cursor]; };
-          channel.emit_heap_record = [&](ObjRef ref, const Klass* klass) {
-            ShuffleKey k = EvalShuffleKey(key_interp, key_c.orig_fn,
-                                          Value::Ref(static_cast<int64_t>(ref)), key.is_string);
-            int part = static_cast<int>(hasher(k) % static_cast<size_t>(reducers));
-            ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
-            size_t offset = buffer.size();
-            kryo_.Serialize(ref, klass, buffer);
-            entries.push_back({part, std::move(k), offset, buffer.size() - offset, 0, 0});
-          };
-          interp.set_channel(&channel);
-          {
-            ComputePhaseScope compute(ctx.stats().times);
-            for (cursor = 0; cursor < in_part.size(); ++cursor) {
-              interp.CallFunction(map_stage.original->body, {});
-              if (buffer.size() > config_.sort_buffer_bytes) {
-                spill();
-              }
-            }
-            spill();
-            if (epochs) {
-              heap_->EpochEnd();  // Yak's cleanup(): whole-region reclamation
-            }
-          }
-          heap_->set_phase_times(nullptr);
-          if (ctx.trace_sink() != nullptr) {
-            ctx.trace_sink()->Counter(TraceEventType::kShuffleBytes, "shuffle_bytes",
-                                      ctx.stats().shuffle_bytes - shuffle_before);
-          }
-        },
-        &stats_);
-  } else {
-    // Gerenuk map phase: native records throughout. Tasks fan out to the
-    // worker pool; each task spills into its own segment list (the analogue
-    // of per-task map output files), merged in task order at the barrier so
-    // the reduce input is identical for every worker count.
-    const bool map_speculate = ShouldSpeculateFor(map_stage.signature.hash);
-    const int map_aborts_before = stats_.aborts;
-    std::vector<std::vector<Segment>> task_segments(static_cast<size_t>(map_tasks));
-    // Process-mode wire codec: a map task's output is its ordered segment
-    // list — per segment, per reducer partition, the sorted key run
-    // ({u8 is_string, i64 i, varlen string}) followed by the partition's
-    // native record bytes (self-delimiting trailer). Hadoop's map output
-    // stays resident in Segments (the IFile analogue that reducers merge
-    // with the key runs alongside the bytes), so it ships whole over the
-    // executor channel rather than routing through the spilling ShuffleRun.
-    StageCodec map_codec;
-    map_codec.encode = [&](int task, ByteBuffer* out) {
-      const std::vector<Segment>& list = task_segments[static_cast<size_t>(task)];
-      out->WriteU32(static_cast<uint32_t>(list.size()));
-      for (const Segment& segment : list) {
-        for (int r = 0; r < reducers; ++r) {
-          const std::vector<ShuffleKey>& ks = segment.keys[static_cast<size_t>(r)];
-          out->WriteU32(static_cast<uint32_t>(ks.size()));
-          for (const ShuffleKey& k : ks) {
-            out->WriteU8(k.is_string ? 1 : 0);
-            out->WriteI64(k.i);
-            out->WriteString(k.s);
-          }
-          segment.native[static_cast<size_t>(r)].SerializeTo(*out);
-        }
+    auto spill = [&]() {
+      if (entries.empty()) {
+        return;
       }
-    };
-    map_codec.decode = [&](int task, ByteReader* in) {
-      // Fail closed on structural damage: guard every length against the
-      // frame's remaining bytes before reading (ByteReader itself aborts on
-      // overrun), and reclassify as the non-retryable kCorruptInput.
-      auto require = [task](bool ok) {
-        if (!ok) {
-          throw TaskError(TaskErrorKind::kCorruptInput, task, 1, 0,
-                          "map segment wire bytes truncated or over-long");
-        }
-      };
-      // ByteReader::ReadString aborts on an over-long varlen; decode the
-      // prefix by hand so a damaged length fails closed instead.
-      auto read_string = [&require](ByteReader* in) {
-        uint32_t len = 0;
-        int shift = 0;
-        while (true) {
-          require(in->remaining() >= 1);
-          uint8_t byte = in->ReadU8();
-          len |= static_cast<uint32_t>(byte & 0x7f) << shift;
-          if ((byte & 0x80) == 0) {
-            break;
-          }
-          shift += 7;
-          require(shift <= 28);
-        }
-        require(len <= in->remaining());
-        std::string s(len, '\0');
-        if (len > 0) {
-          in->ReadBytes(&s[0], len);
-        }
-        return s;
-      };
-      std::vector<Segment>& list = task_segments[static_cast<size_t>(task)];
-      list.clear();
-      try {
-        require(in->remaining() >= 4);
-        uint32_t num_segments = in->ReadU32();
-        for (uint32_t s = 0; s < num_segments; ++s) {
-          require(in->remaining() >= 4);  // a segment is at least one key count
-          Segment segment(reducers, &memory_, config_.engine.execution.mode);
-          for (int r = 0; r < reducers; ++r) {
-            require(in->remaining() >= 4);
-            uint32_t num_keys = in->ReadU32();
-            // Each key is >= 10 bytes (u8 + i64 + 1-byte varlen).
-            require(num_keys <= in->remaining() / 10);
-            std::vector<ShuffleKey>& ks = segment.keys[static_cast<size_t>(r)];
-            ks.resize(num_keys);
-            for (uint32_t k = 0; k < num_keys; ++k) {
-              require(in->remaining() >= 10);
-              ks[k].is_string = in->ReadU8() != 0;
-              ks[k].i = in->ReadI64();
-              ks[k].s = read_string(in);
-            }
-            segment.native[static_cast<size_t>(r)] = NativePartition::Parse(*in, &memory_);
-          }
-          list.push_back(std::move(segment));
-        }
-      } catch (const WireFormatError& e) {
-        throw TaskError(TaskErrorKind::kCorruptInput, task, 1, 0,
-                        std::string("map segment failed wire parse: ") + e.what());
-      }
-    };
-    TraceSpan map_span(DriverSink(), TraceEventType::kStage, "map");
-    scheduler_->RunStage(
-        map_tasks,
-        [&](WorkerContext& ctx, int task) {
-          ctx.stats().map_tasks += 1;
-          ctx.stats().tasks_run += 1;
-          int64_t shuffle_before = ctx.stats().shuffle_bytes;
-          std::vector<Segment>& local_segments = task_segments[static_cast<size_t>(task)];
-          SerExecutor exec(ctx.heap(), ctx.wk(), layouts_, *map_stage.original,
-                           *map_stage.transformed);
-          auto region = std::make_unique<NativePartition>(&memory_);  // map output region
-          std::vector<BufferEntry> entries;
-          bool skip_combiner = false;  // set after an abort (see below)
-
-          auto spill = [&]() {
-            if (entries.empty()) {
-              return;
-            }
-            ctx.stats().spills += 1;
-            std::sort(entries.begin(), entries.end(), EntryOrder);
-            Segment segment(reducers, &memory_, config_.engine.execution.mode);
-            BuilderStore builders(layouts_);
-            std::unique_ptr<SerRunner> combine_runner = MakeFastRunner(
-                combiner_fn != nullptr ? combine_c.plan.get() : key_c.plan.get(),
-                combiner_fn != nullptr ? *combine_c.transformed : *key_c.transformed,
-                ctx.heap(), ctx.wk(), &layouts_, &builders);
-            SerRunner& combine_interp = *combine_runner;
-            size_t i = 0;
-            while (i < entries.size()) {
-              size_t j = i + 1;
-              while (j < entries.size() && entries[j].part == entries[i].part &&
-                     entries[j].key == entries[i].key) {
-                ++j;
-              }
-              int part = entries[i].part;
-              NativePartition& out = segment.native[static_cast<size_t>(part)];
-              bool combined = false;
-              if (combiner_fn != nullptr && !skip_combiner && j - i > 1) {
-                try {
-                  int64_t acc = entries[i].addr;
-                  for (size_t r = i + 1; r < j; ++r) {
-                    ctx.stats().combine_calls += 1;
-                    Value merged = combine_interp.CallFunction(
-                        combine_c.fast_fn, {Value::Addr(acc), Value::Addr(entries[r].addr)});
-                    // Render the intermediate so the next fold reads committed
-                    // bytes (the builder is reset per fold).
-                    ByteBuffer body;
-                    builders.RenderBody(merged.i, out_klass, body);
-                    builders.Clear();
-                    acc = region->AppendRecord(body.data(), static_cast<uint32_t>(body.size()));
-                  }
-                  segment.keys[static_cast<size_t>(part)].push_back(entries[i].key);
-                  out.AppendRecord(reinterpret_cast<const uint8_t*>(acc),
-                                   static_cast<uint32_t>(
-                                       MeasureCommittedBody(layouts_, out_klass, acc)));
-                  combined = true;
-                } catch (const SerAbort& abort) {
-                  if (ctx.trace_sink() != nullptr) {
-                    ctx.trace_sink()->Instant(TraceEventType::kAbort, "abort",
-                                              static_cast<int64_t>(abort.reason));
-                  }
-                  ctx.stats().aborts += 1;
-                  skip_combiner = true;  // keep correctness, drop the optimization
-                }
-              }
-              if (!combined) {
-                for (size_t r = i; r < j; ++r) {
-                  segment.keys[static_cast<size_t>(part)].push_back(entries[r].key);
-                  out.AppendRecord(reinterpret_cast<const uint8_t*>(entries[r].addr),
-                                   entries[r].size);
-                }
-              }
-              i = j;
-            }
-            for (const NativePartition& out : segment.native) {
-              ctx.stats().shuffle_bytes += out.bytes_used();
-            }
-            local_segments.push_back(std::move(segment));
-            // Region-based reclamation: the spilled map outputs die wholesale.
-            *region = NativePartition(&memory_);
-            entries.clear();
-          };
-
-          TaskIo io;
-          io.input = &input->native_parts[static_cast<size_t>(task)];
-          io.stage_label = "map";
-          io.partition = task;
-          io.task_ordinal = map_base + task;
-          io.faults = faults;
-          io.attempt = ctx.attempt();
-          io.cancelled = [&ctx] { return ctx.cancelled(); };
-          io.trace = ctx.trace_sink();
-          if (config_.engine.observability.plan_profile_stride > 0) {
-            io.plan_profile = &ctx.stats().plan_ops;
-            io.plan_profile_stride = config_.engine.observability.plan_profile_stride;
-          }
-          io.plan = map_stage.plan.get();
-          if (key_c.plan != nullptr) {
-            io.extra_plans.push_back(key_c.plan.get());
-          }
-          // Scratch key: extraction reuses the string buffer; the per-entry
-          // copy below is unavoidable (entries own their keys), but the
-          // extraction-side allocation is saved once the buffer warms up.
-          auto scratch_key = std::make_shared<ShuffleKey>();
-          io.emit_native = [&, scratch_key](int64_t addr, const Klass* klass, SerRunner& interp,
-                                            BuilderStore& builders) {
-            if (EvalShuffleKeyInto(interp, key_c.fast_fn, Value::Addr(addr), key.is_string,
-                                   scratch_key.get())) {
-              ctx.stats().key_allocs_saved += 1;
-            }
-            const ShuffleKey& k = *scratch_key;
-            int part = static_cast<int>(hasher(k) % static_cast<size_t>(reducers));
-            int64_t before = region->bytes_used();
-            int64_t committed = builders.Render(addr, klass, *region);
-            entries.push_back({part, k, 0, 0, committed,
-                               static_cast<uint32_t>(region->bytes_used() - before - 4)});
-            if (region->bytes_used() > static_cast<int64_t>(config_.sort_buffer_bytes)) {
-              spill();
-            }
-          };
-          // Slow path after an abort: records come off the heap but stay in
-          // native form for the shuffle. The key interpreter is built once
-          // per task (lazily), not once per record.
-          auto key_interp = std::make_shared<std::unique_ptr<Interpreter>>();
-          io.emit_heap = [&, scratch_key, key_interp](ObjRef ref, const Klass* klass,
-                                                      SerRunner& interp) {
-            if (!*key_interp) {
-              *key_interp = std::make_unique<Interpreter>(*key_c.original, ctx.heap(), ctx.wk(),
-                                                          &layouts_, nullptr);
-            }
-            if (EvalShuffleKeyInto(**key_interp, key_c.orig_fn,
-                                   Value::Ref(static_cast<int64_t>(ref)), key.is_string,
-                                   scratch_key.get())) {
-              ctx.stats().key_allocs_saved += 1;
-            }
-            const ShuffleKey& k = *scratch_key;
-            int part = static_cast<int>(hasher(k) % static_cast<size_t>(reducers));
-            ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
-            ByteBuffer record;
-            ctx.serde().WriteRecord(ref, klass, record);
-            int64_t committed =
-                region->AppendRecord(record.data() + 4, static_cast<uint32_t>(record.size() - 4));
-            entries.push_back({part, k, 0, 0, committed,
-                               static_cast<uint32_t>(record.size() - 4)});
-            if (region->bytes_used() > static_cast<int64_t>(config_.sort_buffer_bytes)) {
-              spill();
-            }
-          };
-          io.on_abort = [&] {
-            // Tear down everything this task produced: unspilled entries, the
-            // output region, and its already-spilled segments. Sibling tasks'
-            // segments live in their own lists and are untouched.
-            entries.clear();
-            *region = NativePartition(&memory_);
-            local_segments.clear();
-            skip_combiner = true;
-          };
-          if (map_speculate) {
-            SpecOutcome outcome = exec.RunTaskIo(io, ctx.stats().times);
-            {
-              ComputePhaseScope compute(ctx.stats().times);
-              spill();
-            }
-            if (!outcome.committed_fast_path) {
-              ctx.stats().aborts += outcome.aborts;
+      ctx.stats().spills += 1;
+      MapSegment segment(reducers, &core.memory(), EngineMode::kBaseline);
+      ForEachSortedRun(&entries, [&](size_t i, size_t j) {
+        const size_t part = static_cast<size_t>(entries[i].part);
+        ByteBuffer& out = segment.wire[part];
+        if (job.has_combiner && j - i > 1) {
+          // Combine the run: deserialize, fold, re-serialize (the cost
+          // Hadoop pays for map-side combining).
+          RootScope scope(heap);
+          size_t acc = 0;
+          for (size_t r = i; r < j; ++r) {
+            ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
+            ByteReader reader(buffer.data() + entries[r].offset, entries[r].length);
+            size_t rec = scope.Push(core.kryo().Deserialize(job.out_klass, reader));
+            if (r == i) {
+              acc = rec;
             } else {
-              ctx.stats().fast_path_commits += 1;
+              ctx.stats().combine_calls += 1;
+              Value merged = combine_interp.CallFunction(
+                  job.combine.orig_fn, {Value::Ref(static_cast<int64_t>(scope.Get(acc))),
+                                        Value::Ref(static_cast<int64_t>(scope.Get(rec)))});
+              scope.Set(acc, static_cast<ObjRef>(merged.i));
             }
-          } else {
-            // Governor-degraded: skip speculation, run the original program
-            // directly (emits route through the same spill machinery).
-            skip_combiner = true;
-            exec.RunDirectSlowPath(io, ctx.stats().times);
-            {
-              ComputePhaseScope compute(ctx.stats().times);
-              spill();
-            }
-            ctx.stats().slow_path_direct += 1;
           }
-          if (ctx.trace_sink() != nullptr) {
-            ctx.trace_sink()->Counter(TraceEventType::kShuffleBytes, "shuffle_bytes",
-                                      ctx.stats().shuffle_bytes - shuffle_before);
+          ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
+          segment.keys[part].push_back(entries[i].key);
+          segment.wire_offsets[part].push_back(out.size());
+          core.kryo().Serialize(scope.Get(acc), job.out_klass, out);
+        } else {
+          for (size_t r = i; r < j; ++r) {
+            segment.keys[part].push_back(entries[r].key);
+            segment.wire_offsets[part].push_back(out.size());
+            out.WriteBytes(buffer.data() + entries[r].offset, entries[r].length);
           }
-        },
-        &stats_, &map_codec);
-    if (map_speculate) {
-      ObserveSpeculation(map_stage.signature.hash, map_tasks, stats_.aborts - map_aborts_before);
-    }
-    for (auto& list : task_segments) {
-      for (Segment& segment : list) {
-        segments.push_back(std::move(segment));
+        }
+      });
+      for (const ByteBuffer& out : segment.wire) {
+        ctx.stats().shuffle_bytes += static_cast<int64_t>(out.size());
+      }
+      segments.push_back(std::move(segment));  // serial stage: task order
+      buffer.Clear();
+      entries.clear();
+    };
+
+    size_t cursor = 0;
+    const std::vector<ObjRef>& in_part = input->heap_parts[static_cast<size_t>(task)];
+    RecordChannel channel;
+    channel.next_heap_record = [&in_part, &cursor]() { return in_part[cursor]; };
+    channel.emit_heap_record = [&](ObjRef ref, const Klass* klass) {
+      ShuffleKey k = EvalShuffleKey(key_interp, job.key.orig_fn,
+                                    Value::Ref(static_cast<int64_t>(ref)), job.key_spec.is_string);
+      int part = static_cast<int>(hasher(k) % static_cast<size_t>(reducers));
+      ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
+      size_t offset = buffer.size();
+      core.kryo().Serialize(ref, klass, buffer);
+      entries.push_back({part, std::move(k), offset, buffer.size() - offset, 0, 0});
+    };
+    interp.set_channel(&channel);
+    {
+      ComputePhaseScope compute(ctx.stats().times);
+      for (cursor = 0; cursor < in_part.size(); ++cursor) {
+        interp.CallFunction(job.map.original->body, {});
+        if (buffer.size() > config_.sort_buffer_bytes) {
+          spill();
+        }
+      }
+      spill();
+      if (config_.yak_epochs) {
+        heap.EpochEnd();  // Yak's cleanup(): whole-region reclamation
       }
     }
-  }
+    if (ctx.trace_sink() != nullptr) {
+      ctx.trace_sink()->Counter(TraceEventType::kShuffleBytes, "shuffle_bytes",
+                                ctx.stats().shuffle_bytes - shuffle_before);
+    }
+  });
+  return segments;
+}
 
-  // -------------------------------------------------------------------------
-  // Reduce phase (merge + group + fold)
-  // -------------------------------------------------------------------------
-  auto out = std::make_shared<Dataset>(*heap_, out_klass, reducers, &memory_);
-  ClaimTaskOrdinals(reducers);
+// Native records throughout. Tasks fan out to the worker pool; each task
+// spills into its own segment list (the analogue of per-task map output
+// files), merged in task order at the barrier so the reduce input is
+// identical for every worker count.
+std::vector<MapSegment> HadoopEngine::MapGerenuk(const DatasetPtr& input,
+                                                 const JobPrograms& job) {
+  EngineCore& core = *core_;
+  const int reducers = config_.num_reducers;
+  const int map_tasks = static_cast<int>(input->native_parts.size());
+  std::vector<std::vector<MapSegment>> task_segments(static_cast<size_t>(map_tasks));
+  const StageCodec codec = SegmentListCodec(&task_segments, reducers, &core.memory());
+  ShuffleKey::Hash hasher;
+  const CompiledFunction& combine = job.has_combiner ? job.combine : job.key;
+  core.RunGerenukStage({"map", map_tasks, job.map.signature.hash, &codec}, [&](GerenukTask& task) {
+    WorkerContext& ctx = task.ctx;
+    ctx.stats().map_tasks += 1;
+    int64_t shuffle_before = ctx.stats().shuffle_bytes;
+    std::vector<MapSegment>& local_segments = task_segments[static_cast<size_t>(task.index)];
+    SerExecutor exec(ctx.heap(), ctx.wk(), core.layouts(), *job.map.original,
+                     *job.map.transformed);
+    auto region = std::make_unique<NativePartition>(&core.memory());  // map output region
+    std::vector<BufferEntry> entries;
+    // Set after an abort (see below) and on governor-degraded routing.
+    bool skip_combiner = !task.speculate;
 
-  // Gathers one reducer's runs from every segment, sorted by key. Segments
-  // are complete and read-only by now (the map-stage barrier), so reduce
-  // tasks may build this concurrently.
-  struct SegRef {
-    const Segment* segment;
-    size_t index;
-  };
-  auto build_refs = [&segments](int r) {
-    std::vector<SegRef> refs;
-    for (const Segment& segment : segments) {
-      for (size_t i = 0; i < segment.keys[static_cast<size_t>(r)].size(); ++i) {
-        refs.push_back({&segment, i});
+    auto spill = [&]() {
+      if (entries.empty()) {
+        return;
       }
-    }
-    std::sort(refs.begin(), refs.end(), [r](const SegRef& a, const SegRef& b) {
-      return a.segment->keys[static_cast<size_t>(r)][a.index] <
-             b.segment->keys[static_cast<size_t>(r)][b.index];
-    });
-    return refs;
-  };
-  auto key_at = [](const SegRef& ref, int r) -> const ShuffleKey& {
-    return ref.segment->keys[static_cast<size_t>(r)][ref.index];
-  };
-
-  if (config_.engine.execution.mode == EngineMode::kBaseline) {
-    TraceSpan reduce_span(DriverSink(), TraceEventType::kStage, "reduce");
-    scheduler_->RunStageSerial(
-        reducers,
-        [&](WorkerContext& ctx, int r) {
-          ctx.stats().reduce_tasks += 1;
-          ctx.stats().tasks_run += 1;
-          heap_->set_phase_times(&ctx.stats().times);
-          std::vector<SegRef> refs = build_refs(r);
-          Interpreter reduce_interp(*reduce_c.original, *heap_, *wk_, &layouts_, nullptr);
-          if (epochs) {
-            heap_->EpochStart();
-          }
-          {
-            ComputePhaseScope compute(ctx.stats().times);
-            std::vector<ObjRef>& out_part = out->heap_parts[static_cast<size_t>(r)];
-            size_t i = 0;
-            while (i < refs.size()) {
-              size_t j = i + 1;
-              while (j < refs.size() && key_at(refs[j], r) == key_at(refs[i], r)) {
-                ++j;
-              }
-              RootScope scope(*heap_);
-              size_t acc = 0;
-              for (size_t v = i; v < j; ++v) {
-                const Segment& seg = *refs[v].segment;
-                size_t idx = refs[v].index;
-                ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
-                const ByteBuffer& wire = seg.wire[static_cast<size_t>(r)];
-                size_t off = seg.wire_offsets[static_cast<size_t>(r)][idx];
-                ByteReader reader(wire.data() + off, wire.size() - off);
-                size_t rec = scope.Push(kryo_.Deserialize(out_klass, reader));
-                if (v == i) {
-                  acc = rec;
-                } else {
-                  Value merged = reduce_interp.CallFunction(
-                      reduce_c.orig_fn, {Value::Ref(static_cast<int64_t>(scope.Get(acc))),
-                                         Value::Ref(static_cast<int64_t>(scope.Get(rec)))});
-                  scope.Set(acc, static_cast<ObjRef>(merged.i));
-                }
-              }
-              // Final output write ("HDFS"): the baseline serializes once more.
-              {
-                ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
-                ByteBuffer sink;
-                kryo_.Serialize(scope.Get(acc), out_klass, sink);
-              }
-              out_part.push_back(scope.Get(acc));
-              i = j;
-            }
-            if (epochs) {
-              heap_->EpochEnd();  // output records escape via out_part's roots
-            }
-          }
-          heap_->set_phase_times(nullptr);
-        },
-        &stats_);
-    return out;
-  }
-
-  // Gerenuk reduce: one task per reducer, fanned out to the worker pool.
-  const bool reduce_speculate = ShouldSpeculateFor(reduce_c.signature.hash);
-  const int reduce_aborts_before = stats_.aborts;
-  // Process-mode wire codec: a reduce task commits one sealed output
-  // partition; its shuffle-wire bytes (seal included) ship back whole.
-  StageCodec reduce_codec;
-  reduce_codec.encode = [&out](int task, ByteBuffer* wire) {
-    out->native_parts[static_cast<size_t>(task)].SerializeTo(*wire);
-  };
-  reduce_codec.decode = [this, &out](int task, ByteReader* in) {
-    try {
-      out->native_parts[static_cast<size_t>(task)] = NativePartition::Parse(*in, &memory_);
-    } catch (const WireFormatError& e) {
-      throw TaskError(TaskErrorKind::kCorruptInput, task, 1, 0,
-                      std::string("reduce output failed wire parse: ") + e.what());
-    }
-  };
-  TraceSpan reduce_span(DriverSink(), TraceEventType::kStage, "reduce");
-  scheduler_->RunStage(
-      reducers,
-      [&](WorkerContext& ctx, int r) {
-        ctx.stats().reduce_tasks += 1;
-        ctx.stats().tasks_run += 1;
-        ctx.heap().set_phase_times(&ctx.stats().times);
-        std::vector<SegRef> refs = build_refs(r);
-        NativePartition& out_part = out->native_parts[static_cast<size_t>(r)];
-        BuilderStore builders(layouts_);
-        std::unique_ptr<SerRunner> reduce_runner = MakeFastRunner(
-            reduce_c.plan.get(), *reduce_c.transformed, ctx.heap(), ctx.wk(), &layouts_,
-            &builders);
-        SerRunner& reduce_interp = *reduce_runner;
-        Interpreter slow_interp(*reduce_c.original, ctx.heap(), ctx.wk(), &layouts_, nullptr);
-        NativePartition scratch(&memory_);
-        ComputePhaseScope compute(ctx.stats().times);
-        size_t i = 0;
-        while (i < refs.size()) {
-          size_t j = i + 1;
-          while (j < refs.size() && key_at(refs[j], r) == key_at(refs[i], r)) {
-            ++j;
-          }
-          auto addr_of = [r](const SegRef& ref) {
-            return ref.segment->native[static_cast<size_t>(r)].record_addr(ref.index);
-          };
-          auto size_of = [r](const SegRef& ref) {
-            return ref.segment->native[static_cast<size_t>(r)].record_size(ref.index);
-          };
-          bool fast_ok = reduce_speculate;
-          if (reduce_speculate) try {
-            int64_t acc = addr_of(refs[i]);
-            uint32_t acc_size = size_of(refs[i]);
-            for (size_t v = i + 1; v < j; ++v) {
-              Value merged = reduce_interp.CallFunction(
-                  reduce_c.fast_fn, {Value::Addr(acc), Value::Addr(addr_of(refs[v]))});
+      ctx.stats().spills += 1;
+      MapSegment segment(reducers, &core.memory(), EngineMode::kGerenuk);
+      BuilderStore builders(core.layouts());
+      std::unique_ptr<SerRunner> combine_runner =
+          MakeFastRunner(combine.plan.get(), *combine.transformed, ctx.heap(), ctx.wk(),
+                         &core.layouts(), &builders);
+      SerRunner& combine_interp = *combine_runner;
+      ForEachSortedRun(&entries, [&](size_t i, size_t j) {
+        const size_t part = static_cast<size_t>(entries[i].part);
+        NativePartition& out = segment.native[part];
+        bool combined = false;
+        if (job.has_combiner && !skip_combiner && j - i > 1) {
+          try {
+            int64_t acc = entries[i].addr;
+            for (size_t r = i + 1; r < j; ++r) {
+              ctx.stats().combine_calls += 1;
+              Value merged = combine_interp.CallFunction(
+                  combine.fast_fn, {Value::Addr(acc), Value::Addr(entries[r].addr)});
+              // Render the intermediate so the next fold reads committed
+              // bytes (the builder is reset per fold).
               ByteBuffer body;
-              builders.RenderBody(merged.i, out_klass, body);
+              builders.RenderBody(merged.i, job.out_klass, body);
               builders.Clear();
-              acc = scratch.AppendRecord(body.data(), static_cast<uint32_t>(body.size()));
-              acc_size = static_cast<uint32_t>(body.size());
+              acc = region->AppendRecord(body.data(), static_cast<uint32_t>(body.size()));
             }
-            out_part.AppendRecord(reinterpret_cast<const uint8_t*>(acc), acc_size);
+            segment.keys[part].push_back(entries[i].key);
+            out.AppendRecord(reinterpret_cast<const uint8_t*>(acc),
+                             static_cast<uint32_t>(
+                                 MeasureCommittedBody(core.layouts(), job.out_klass, acc)));
+            combined = true;
           } catch (const SerAbort& abort) {
-            // Re-execute this group on the slow path, inside the same worker.
             if (ctx.trace_sink() != nullptr) {
               ctx.trace_sink()->Instant(TraceEventType::kAbort, "abort",
                                         static_cast<int64_t>(abort.reason));
             }
             ctx.stats().aborts += 1;
-            fast_ok = false;
+            skip_combiner = true;  // keep correctness, drop the optimization
           }
-          if (!fast_ok) {
-            TraceSpan slow_span(ctx.trace_sink(), TraceEventType::kSlowPath, "slow_path",
-                                reduce_speculate ? 0 : 1);
-            builders.Clear();
-            RootScope scope(ctx.heap());
-            size_t acc = 0;
-            for (size_t v = i; v < j; ++v) {
-              ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
-              ByteReader reader(reinterpret_cast<const uint8_t*>(addr_of(refs[v])),
-                                size_of(refs[v]));
-              size_t rec = scope.Push(ctx.serde().ReadBody(out_klass, reader));
-              if (v == i) {
-                acc = rec;
-              } else {
-                Value merged = slow_interp.CallFunction(
-                    reduce_c.orig_fn, {Value::Ref(static_cast<int64_t>(scope.Get(acc))),
-                                       Value::Ref(static_cast<int64_t>(scope.Get(rec)))});
-                scope.Set(acc, static_cast<ObjRef>(merged.i));
-              }
-            }
-            ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
-            ByteBuffer record;
-            ctx.serde().WriteRecord(scope.Get(acc), out_klass, record);
-            out_part.AppendRecord(record.data() + 4, static_cast<uint32_t>(record.size() - 4));
+        }
+        if (!combined) {
+          for (size_t r = i; r < j; ++r) {
+            segment.keys[part].push_back(entries[r].key);
+            out.AppendRecord(reinterpret_cast<const uint8_t*>(entries[r].addr), entries[r].size);
           }
-          i = j;
         }
-        if (!reduce_speculate) {
-          ctx.stats().slow_path_direct += 1;
-        }
-        out_part.Seal();
-        ctx.heap().set_phase_times(nullptr);
-      },
-      &stats_, &reduce_codec);
-  if (reduce_speculate) {
-    ObserveSpeculation(reduce_c.signature.hash, reducers, stats_.aborts - reduce_aborts_before);
+      });
+      for (const NativePartition& out : segment.native) {
+        ctx.stats().shuffle_bytes += out.bytes_used();
+      }
+      local_segments.push_back(std::move(segment));
+      // Region-based reclamation: the spilled map outputs die wholesale.
+      *region = NativePartition(&core.memory());
+      entries.clear();
+    };
+
+    TaskIo& io = task.io;
+    io.input = &input->native_parts[static_cast<size_t>(task.index)];
+    io.plan = job.map.plan.get();
+    if (job.key.plan != nullptr) {
+      io.extra_plans.push_back(job.key.plan.get());
+    }
+    // Scratch key: extraction reuses the string buffer; the per-entry
+    // copy below is unavoidable (entries own their keys), but the
+    // extraction-side allocation is saved once the buffer warms up.
+    auto scratch_key = std::make_shared<ShuffleKey>();
+    io.emit_native = [&, scratch_key](int64_t addr, const Klass* klass, SerRunner& interp,
+                                      BuilderStore& builders) {
+      if (EvalShuffleKeyInto(interp, job.key.fast_fn, Value::Addr(addr), job.key_spec.is_string,
+                             scratch_key.get())) {
+        ctx.stats().key_allocs_saved += 1;
+      }
+      const ShuffleKey& k = *scratch_key;
+      int part = static_cast<int>(hasher(k) % static_cast<size_t>(reducers));
+      int64_t before = region->bytes_used();
+      int64_t committed = builders.Render(addr, klass, *region);
+      entries.push_back({part, k, 0, 0, committed,
+                         static_cast<uint32_t>(region->bytes_used() - before - 4)});
+      if (region->bytes_used() > static_cast<int64_t>(config_.sort_buffer_bytes)) {
+        spill();
+      }
+    };
+    // Slow path after an abort: records come off the heap but stay in
+    // native form for the shuffle. The key interpreter is built once
+    // per task (lazily), not once per record.
+    auto key_interp = std::make_shared<std::unique_ptr<Interpreter>>();
+    io.emit_heap = [&, scratch_key, key_interp](ObjRef ref, const Klass* klass,
+                                                SerRunner& interp) {
+      if (!*key_interp) {
+        *key_interp = std::make_unique<Interpreter>(*job.key.original, ctx.heap(), ctx.wk(),
+                                                    &core.layouts(), nullptr);
+      }
+      if (EvalShuffleKeyInto(**key_interp, job.key.orig_fn,
+                             Value::Ref(static_cast<int64_t>(ref)), job.key_spec.is_string,
+                             scratch_key.get())) {
+        ctx.stats().key_allocs_saved += 1;
+      }
+      const ShuffleKey& k = *scratch_key;
+      int part = static_cast<int>(hasher(k) % static_cast<size_t>(reducers));
+      ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
+      ByteBuffer record;
+      ctx.serde().WriteRecord(ref, klass, record);
+      int64_t committed =
+          region->AppendRecord(record.data() + 4, static_cast<uint32_t>(record.size() - 4));
+      entries.push_back({part, k, 0, 0, committed, static_cast<uint32_t>(record.size() - 4)});
+      if (region->bytes_used() > static_cast<int64_t>(config_.sort_buffer_bytes)) {
+        spill();
+      }
+    };
+    io.on_abort = [&] {
+      // Tear down everything this task produced: unspilled entries, the
+      // output region, and its already-spilled segments. Sibling tasks'
+      // segments live in their own lists and are untouched.
+      entries.clear();
+      *region = NativePartition(&core.memory());
+      local_segments.clear();
+      skip_combiner = true;
+    };
+    // Governor-degraded routing runs the original program directly; emits
+    // route through the same spill machinery either way.
+    task.Run(exec);
+    {
+      ComputePhaseScope compute(ctx.stats().times);
+      spill();
+    }
+    if (ctx.trace_sink() != nullptr) {
+      ctx.trace_sink()->Counter(TraceEventType::kShuffleBytes, "shuffle_bytes",
+                                ctx.stats().shuffle_bytes - shuffle_before);
+    }
+  });
+  std::vector<MapSegment> segments;
+  for (std::vector<MapSegment>& list : task_segments) {
+    for (MapSegment& segment : list) {
+      segments.push_back(std::move(segment));
+    }
   }
+  return segments;
+}
+
+// ---------------------------------------------------------------------------
+// Reduce phase (merge/group/fold)
+// ---------------------------------------------------------------------------
+
+DatasetPtr HadoopEngine::ReduceBaseline(const std::vector<MapSegment>& segments,
+                                        const JobPrograms& job) {
+  EngineCore& core = *core_;
+  Heap& heap = core.heap();
+  const int reducers = config_.num_reducers;
+  auto out = std::make_shared<Dataset>(heap, job.out_klass, reducers, &core.memory());
+  core.RunBaselineStage("reduce", reducers, [&](WorkerContext& ctx, int r) {
+    ctx.stats().reduce_tasks += 1;
+    const size_t part = static_cast<size_t>(r);
+    std::vector<SegRef> refs = MergedRefs(segments, r);
+    Interpreter reduce_interp(*job.reduce.original, heap, core.wk(), &core.layouts(), nullptr);
+    if (config_.yak_epochs) {
+      heap.EpochStart();
+    }
+    ComputePhaseScope compute(ctx.stats().times);
+    std::vector<ObjRef>& out_part = out->heap_parts[part];
+    ForEachKeyGroup(refs, r, [&](size_t i, size_t j) {
+      RootScope scope(heap);
+      size_t acc = 0;
+      for (size_t v = i; v < j; ++v) {
+        const MapSegment& seg = *refs[v].segment;
+        ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
+        const ByteBuffer& wire = seg.wire[part];
+        size_t off = seg.wire_offsets[part][refs[v].index];
+        ByteReader reader(wire.data() + off, wire.size() - off);
+        size_t rec = scope.Push(core.kryo().Deserialize(job.out_klass, reader));
+        if (v == i) {
+          acc = rec;
+        } else {
+          Value merged = reduce_interp.CallFunction(
+              job.reduce.orig_fn, {Value::Ref(static_cast<int64_t>(scope.Get(acc))),
+                                   Value::Ref(static_cast<int64_t>(scope.Get(rec)))});
+          scope.Set(acc, static_cast<ObjRef>(merged.i));
+        }
+      }
+      // Final output write ("HDFS"): the baseline serializes once more.
+      {
+        ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
+        ByteBuffer sink;
+        core.kryo().Serialize(scope.Get(acc), job.out_klass, sink);
+      }
+      out_part.push_back(scope.Get(acc));
+    });
+    if (config_.yak_epochs) {
+      heap.EpochEnd();  // output records escape via out_part's roots
+    }
+  });
+  return out;
+}
+
+// One task per reducer, fanned out to the worker pool. Each key group folds
+// on the fast path; a group that aborts re-executes on the slow path inside
+// the same worker.
+DatasetPtr HadoopEngine::ReduceGerenuk(const std::vector<MapSegment>& segments,
+                                       const JobPrograms& job) {
+  EngineCore& core = *core_;
+  const int reducers = config_.num_reducers;
+  auto out = std::make_shared<Dataset>(core.heap(), job.out_klass, reducers, &core.memory());
+  const StageCodec codec = core.PartitionCodec(&out->native_parts);
+  core.RunGerenukStage({"reduce", reducers, job.reduce.signature.hash, &codec},
+                       [&](GerenukTask& task) {
+    WorkerContext& ctx = task.ctx;
+    const int r = task.index;
+    const size_t part = static_cast<size_t>(r);
+    ctx.stats().reduce_tasks += 1;
+    ctx.heap().set_phase_times(&ctx.stats().times);
+    std::vector<SegRef> refs = MergedRefs(segments, r);
+    NativePartition& out_part = out->native_parts[part];
+    BuilderStore builders(core.layouts());
+    std::unique_ptr<SerRunner> reduce_runner =
+        MakeFastRunner(job.reduce.plan.get(), *job.reduce.transformed, ctx.heap(), ctx.wk(),
+                       &core.layouts(), &builders);
+    SerRunner& reduce_interp = *reduce_runner;
+    Interpreter slow_interp(*job.reduce.original, ctx.heap(), ctx.wk(), &core.layouts(),
+                            nullptr);
+    NativePartition scratch(&core.memory());
+    ComputePhaseScope compute(ctx.stats().times);
+    auto addr_of = [part](const SegRef& ref) {
+      return ref.segment->native[part].record_addr(ref.index);
+    };
+    auto size_of = [part](const SegRef& ref) {
+      return ref.segment->native[part].record_size(ref.index);
+    };
+    ForEachKeyGroup(refs, r, [&](size_t i, size_t j) {
+      bool fast_ok = task.speculate;
+      if (task.speculate) try {
+        int64_t acc = addr_of(refs[i]);
+        uint32_t acc_size = size_of(refs[i]);
+        for (size_t v = i + 1; v < j; ++v) {
+          Value merged = reduce_interp.CallFunction(
+              job.reduce.fast_fn, {Value::Addr(acc), Value::Addr(addr_of(refs[v]))});
+          ByteBuffer body;
+          builders.RenderBody(merged.i, job.out_klass, body);
+          builders.Clear();
+          acc = scratch.AppendRecord(body.data(), static_cast<uint32_t>(body.size()));
+          acc_size = static_cast<uint32_t>(body.size());
+        }
+        out_part.AppendRecord(reinterpret_cast<const uint8_t*>(acc), acc_size);
+      } catch (const SerAbort& abort) {
+        if (ctx.trace_sink() != nullptr) {
+          ctx.trace_sink()->Instant(TraceEventType::kAbort, "abort",
+                                    static_cast<int64_t>(abort.reason));
+        }
+        ctx.stats().aborts += 1;
+        fast_ok = false;
+      }
+      if (fast_ok) {
+        return;
+      }
+      TraceSpan slow_span(ctx.trace_sink(), TraceEventType::kSlowPath, "slow_path",
+                          task.speculate ? 0 : 1);
+      builders.Clear();
+      RootScope scope(ctx.heap());
+      size_t acc = 0;
+      for (size_t v = i; v < j; ++v) {
+        ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
+        ByteReader reader(reinterpret_cast<const uint8_t*>(addr_of(refs[v])), size_of(refs[v]));
+        size_t rec = scope.Push(ctx.serde().ReadBody(job.out_klass, reader));
+        if (v == i) {
+          acc = rec;
+        } else {
+          Value merged = slow_interp.CallFunction(
+              job.reduce.orig_fn, {Value::Ref(static_cast<int64_t>(scope.Get(acc))),
+                                   Value::Ref(static_cast<int64_t>(scope.Get(rec)))});
+          scope.Set(acc, static_cast<ObjRef>(merged.i));
+        }
+      }
+      ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
+      ByteBuffer record;
+      ctx.serde().WriteRecord(scope.Get(acc), job.out_klass, record);
+      out_part.AppendRecord(record.data() + 4, static_cast<uint32_t>(record.size() - 4));
+    });
+    if (!task.speculate) {
+      ctx.stats().slow_path_direct += 1;
+    }
+    out_part.Seal();
+    ctx.heap().set_phase_times(nullptr);
+  });
   return out;
 }
 

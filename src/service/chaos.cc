@@ -79,27 +79,23 @@ JobSpec ComposeFaults(JobSpec spec, const ChaosJobPlan& plan) {
       // task boundaries, not here, matching an uncooperative body prefix.
       std::this_thread::sleep_for(std::chrono::milliseconds(plan.stall_ms));
     }
-    ctx.spark->fault_plan().Clear();
-    ctx.hadoop->fault_plan().Clear();
+    // Both front ends share the slot's core, so one fault plan and one
+    // ordinal sequence cover whichever engine the kind runs on.
+    FaultInjector& faults = ctx.spark->fault_plan();
+    faults.Clear();
     if (plan.force_aborts > 0) {
       ctx.spark->ForceAborts(plan.force_aborts);
     }
     if (plan.inject_exception) {
-      // The kind decides which engine runs; injecting on both is harmless —
-      // the unused plan is cleared below before it could match a future
-      // task ordinal.
       const int max_attempt = plan.unrecoverable ? -1 : 1;
-      ctx.spark->fault_plan().InjectException(ctx.spark->next_task_ordinal(), max_attempt);
-      ctx.hadoop->fault_plan().InjectException(ctx.hadoop->next_task_ordinal(), max_attempt);
+      faults.InjectException(ctx.spark->next_task_ordinal(), max_attempt);
     }
     try {
       std::string out = base_run(ctx);
-      ctx.spark->fault_plan().Clear();
-      ctx.hadoop->fault_plan().Clear();
+      faults.Clear();
       return out;
     } catch (...) {
-      ctx.spark->fault_plan().Clear();
-      ctx.hadoop->fault_plan().Clear();
+      faults.Clear();
       throw;
     }
   };

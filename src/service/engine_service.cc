@@ -152,16 +152,17 @@ void EngineService::Shutdown() {
 }
 
 void EngineService::BuildSlotEngines(EngineSlot* slot, int index) {
-  // Cached artifacts hold pointers into the engines they were compiled on —
-  // clear the caches before the old engines go away, never after.
-  slot->spark_cache.Clear();
-  slot->hadoop_cache.Clear();
+  // Cached artifacts hold pointers into the core they were compiled on —
+  // clear the cache before the old core goes away, never after. The old
+  // core is gone before the new one is built, so a slot never holds two.
+  slot->cache.Clear();
   slot->spark.reset();
   slot->hadoop.reset();
-  slot->spark = std::make_unique<SparkEngine>(pooled_config_);
-  slot->hadoop = std::make_unique<HadoopEngine>(pooled_hadoop_config_);
-  slot->spark->set_plan_cache(&slot->spark_cache);
-  slot->hadoop->set_plan_cache(&slot->hadoop_cache);
+  slot->core.reset();
+  slot->core = std::make_shared<EngineCore>(pooled_config_);
+  slot->core->set_plan_cache(&slot->cache);
+  slot->spark = std::make_unique<SparkEngine>(slot->core);
+  slot->hadoop = std::make_unique<HadoopEngine>(slot->core, pooled_hadoop_config_);
   slot->ctx.spark = slot->spark.get();
   slot->ctx.hadoop = slot->hadoop.get();
   slot->ctx.slot = index;
@@ -281,17 +282,14 @@ void EngineService::RunOne(EngineSlot* slot, QueuedJob* job) {
 
   // Per-job scoping: metrics (and the merged trace, when tracing) restart
   // from zero so the snapshot after the body is this job's delta.
-  slot->spark->ResetMetrics();
-  slot->hadoop->ResetMetrics();
-  if (slot->spark->trace() != nullptr) {
-    slot->spark->trace()->ResetMerged();
-  }
-  if (slot->hadoop->trace() != nullptr) {
-    slot->hadoop->trace()->ResetMerged();
+  EngineCore& core = *slot->core;
+  core.ResetMetrics();
+  if (core.trace() != nullptr) {
+    core.trace()->ResetMerged();
   }
   InstallOracle(slot, job->tenant);
 
-  // Cooperative cancellation: both engines probe this at every task-attempt
+  // Cooperative cancellation: the core probes this at every task-attempt
   // boundary while the body runs. The raw JobState pointer is safe — the
   // check is detached below before `job` releases its state reference.
   const int64_t deadline_ns = state->deadline_steady_ns;
@@ -304,8 +302,7 @@ void EngineService::RunOne(EngineSlot* slot, QueuedJob* job) {
     }
     return CancelCause::kNone;
   };
-  slot->spark->set_cancel_check(check);
-  slot->hadoop->set_cancel_check(check);
+  core.set_cancel_check(std::move(check));
 
   std::string output;
   std::string error;
@@ -330,12 +327,10 @@ void EngineService::RunOne(EngineSlot* slot, QueuedJob* job) {
       error = "job body threw a non-exception value";
     }
   }
-  slot->spark->set_cancel_check(nullptr);
-  slot->hadoop->set_cancel_check(nullptr);
+  core.set_cancel_check(nullptr);
   const auto finished = std::chrono::steady_clock::now();
 
-  EngineStats stats = slot->spark->stats();
-  stats += slot->hadoop->stats();
+  const EngineStats stats = core.stats();
   const int64_t queue_wait_ns = NanosBetween(job->enqueued, started);
   const int64_t exec_ns = NanosBetween(started, finished);
   const int64_t output_bytes = static_cast<int64_t>(output.size());
@@ -454,8 +449,7 @@ void EngineService::InstallOracle(EngineSlot* slot, const std::string& tenant) {
   oracle.observe = [this, tenant](uint64_t signature_hash, int tasks, int aborts) {
     TenantObserve(tenant, signature_hash, tasks, aborts);
   };
-  slot->spark->set_speculation_oracle(oracle);
-  slot->hadoop->set_speculation_oracle(std::move(oracle));
+  slot->core->set_speculation_oracle(std::move(oracle));
 }
 
 bool EngineService::TenantShouldSpeculate(const std::string& tenant,
@@ -528,15 +522,13 @@ MetricsRegistry EngineService::metrics() const {
 PlanCache::Stats EngineService::plan_cache_stats() const {
   PlanCache::Stats total;
   for (const auto& slot : slots_) {
-    for (const PlanCache* cache : {&slot->spark_cache, &slot->hadoop_cache}) {
-      const PlanCache::Stats s = cache->stats();
-      total.hits += s.hits;
-      total.misses += s.misses;
-      total.evictions += s.evictions;
-      total.insertions += s.insertions;
-      total.bytes += s.bytes;
-      total.entries += s.entries;
-    }
+    const PlanCache::Stats s = slot->cache.stats();
+    total.hits += s.hits;
+    total.misses += s.misses;
+    total.evictions += s.evictions;
+    total.insertions += s.insertions;
+    total.bytes += s.bytes;
+    total.entries += s.entries;
   }
   return total;
 }

@@ -8,9 +8,10 @@
 //
 // Architecture (see DESIGN.md "Service mode & plan cache" and "Service
 // resilience"):
-//   * Every engine slot pairs a SparkEngine and a HadoopEngine with their
-//     own signature-keyed PlanCaches (cached artifacts hold engine-local
-//     pointers, so caches never cross engines) and one dispatcher thread.
+//   * Every engine slot holds one EngineCore — one heap, one scheduler, one
+//     signature-keyed PlanCache — with a SparkEngine and a HadoopEngine front
+//     end over it, and one dispatcher thread. Cached artifacts hold
+//     core-local pointers, so caches never cross slots.
 //   * Submissions flow through the AdmissionController: bounded global and
 //     per-tenant queue depth, in-flight byte quotas, DRR fair-share dispatch
 //     across tenants, priority order within a tenant.
@@ -20,17 +21,17 @@
 //     boundary with its partial stats; a still-queued job resolves
 //     synchronously without ever running.
 //   * Per-slot circuit breaker: a decayed failure score per slot; past the
-//     threshold the breaker opens — the slot's engines are torn down and
-//     rebuilt (caches cleared, setup re-run) — then half-opens, closing
+//     threshold the breaker opens — the slot's core is torn down and
+//     rebuilt (cache cleared, setup re-run) — then half-opens, closing
 //     again after `breaker_probe_jobs` consecutive successes.
-//   * Per-job scoping: the dispatcher resets the slot's engine metrics (and
+//   * Per-job scoping: the dispatcher resets the slot's core metrics (and
 //     merged trace, when tracing) before each body runs, so JobResult.stats
 //     is this job's delta; the deltas also accumulate into the tenant's
 //     MetricsRegistry, surfaced namespaced ("tenant.<id>.*") by metrics().
 //   * Speculation is governed per tenant per SER: the service keeps an
 //     abort-rate history keyed by (tenant, signature hash) and installs a
-//     SpeculationOracle on the slot's engines before each job. The pooled
-//     engines run with their own engine-wide governor disabled — otherwise
+//     SpeculationOracle on the slot's core before each job. The pooled
+//     cores run with their own engine-wide governor disabled — otherwise
 //     one tenant's hostile inputs would flip speculation off for everyone.
 #ifndef SRC_SERVICE_ENGINE_SERVICE_H_
 #define SRC_SERVICE_ENGINE_SERVICE_H_
@@ -57,9 +58,10 @@ namespace gerenuk {
 
 // Runs once per engine slot, before its dispatcher starts: register data
 // types, build SER programs, and return a payload handed to every job that
-// runs on the slot (EngineContext::setup). Also re-run after a circuit
-// breaker rebuilds a slot's engines, so it must be safe to call again on a
-// fresh engine pair.
+// runs on the slot (EngineContext::setup). Both front ends share the slot's
+// class registry, so define each klass once per slot. Also re-run after a
+// circuit breaker rebuilds a slot's core, so it must be safe to call again
+// on a fresh core.
 using EngineSetup = std::function<std::shared_ptr<void>(EngineContext&)>;
 
 struct ServiceConfig {
@@ -89,9 +91,10 @@ struct ServiceConfig {
   int breaker_failure_threshold = 5;
   int breaker_probe_jobs = 2;
   int64_t breaker_open_ms = 0;
-  // Per-cache byte budget; each slot owns two caches (Spark + Hadoop).
+  // Byte budget of each slot's PlanCache (one per slot, shared by both
+  // front ends).
   size_t plan_cache_budget_bytes = 64u << 20;
-  // Optional per-slot setup (klasses + SER programs built once per engine).
+  // Optional per-slot setup (klasses + SER programs built once per slot).
   EngineSetup setup;
 
   // Returns "" when valid, otherwise a descriptive one-line error.
@@ -105,7 +108,7 @@ class EngineService {
   // Slot circuit-breaker lifecycle counters, summed over all slots.
   struct BreakerStats {
     int64_t opens = 0;            // closed/half-open -> open transitions
-    int64_t rebuilds = 0;         // engine teardown+rebuild cycles (== opens)
+    int64_t rebuilds = 0;         // core teardown+rebuild cycles (== opens)
     int64_t half_opens = 0;       // open -> half-open transitions
     int64_t closes = 0;           // half-open -> closed (probe successes)
     int64_t probe_failures = 0;   // half-open jobs that failed (re-opens)
@@ -142,7 +145,7 @@ class EngineService {
   // counters + every tenant's registry namespaced under "tenant.<id>.".
   MetricsRegistry metrics() const;
 
-  // Aggregated over every slot's two caches.
+  // Aggregated over every slot's cache.
   PlanCache::Stats plan_cache_stats() const;
   AdmissionController::Stats admission_stats() const;
   BreakerStats breaker_stats() const;
@@ -173,10 +176,9 @@ class EngineService {
   };
 
   struct EngineSlot {
-    explicit EngineSlot(size_t cache_budget_bytes)
-        : spark_cache(cache_budget_bytes), hadoop_cache(cache_budget_bytes) {}
-    PlanCache spark_cache;
-    PlanCache hadoop_cache;
+    explicit EngineSlot(size_t cache_budget_bytes) : cache(cache_budget_bytes) {}
+    PlanCache cache;
+    std::shared_ptr<EngineCore> core;  // shared by both front ends
     std::unique_ptr<SparkEngine> spark;
     std::unique_ptr<HadoopEngine> hadoop;
     EngineContext ctx;
@@ -202,7 +204,8 @@ class EngineService {
   void InstallOracle(EngineSlot* slot, const std::string& tenant);
   bool TenantShouldSpeculate(const std::string& tenant, uint64_t signature_hash) const;
   void TenantObserve(const std::string& tenant, uint64_t signature_hash, int tasks, int aborts);
-  // Wires (or re-wires, after a rebuild) fresh engines into `slot`.
+  // Wires (or re-wires, after a rebuild) a fresh core and its front ends
+  // into `slot`.
   void BuildSlotEngines(EngineSlot* slot, int index);
   // Breaker transitions; dispatcher-thread-only for the given slot.
   void OpenBreaker(EngineSlot* slot);

@@ -67,12 +67,13 @@ inline const char* JobStatusName(JobStatus status) {
   return "?";
 }
 
-// One pooled engine slot as a job body sees it. Both engines share the
-// slot's dispatcher thread, so a body may use either (or both) without
-// synchronizing. `setup` is the slot's ServiceConfig::setup payload —
-// klasses and SER programs built once per engine, shared by every job that
-// runs on the slot (registering the same data types per job would redefine
-// them and defeat the signature-keyed plan cache).
+// One pooled engine slot as a job body sees it: two front ends over the
+// slot's one EngineCore (heap, class registry, scheduler, plan cache). Both
+// run on the slot's dispatcher thread, so a body may use either (or both)
+// without synchronizing. `setup` is the slot's ServiceConfig::setup payload
+// — klasses and SER programs built once per slot, shared by every job that
+// runs on it (registering the same data types per job would redefine them
+// and defeat the signature-keyed plan cache).
 struct EngineContext {
   SparkEngine* spark = nullptr;
   HadoopEngine* hadoop = nullptr;
@@ -105,7 +106,7 @@ struct JobSpec {
 
 // Everything a terminal job reports. `stats` is the per-job EngineStats
 // delta: the dispatcher resets the slot's metrics before the body runs and
-// snapshots them (both engines, summed) after it returns — including for
+// snapshots them (the slot's one core) after it returns — including for
 // kCancelled / kDeadlineExceeded bodies, whose partial progress is visible.
 struct JobResult {
   JobStatus status = JobStatus::kQueued;
@@ -127,7 +128,7 @@ struct JobState {
   JobResult result;
 
   // Cooperative cancel flag: set by JobHandle::cancel(), read by the per-job
-  // CancelCheck the dispatcher installs on both engines. Lock-free so task
+  // CancelCheck the dispatcher installs on the slot's core. Lock-free so task
   // workers can probe it at attempt boundaries without touching `mu`.
   std::atomic<bool> cancel_requested{false};
   // Absolute deadline as steady_clock nanoseconds-since-epoch (0 = none),

@@ -335,7 +335,7 @@ TEST(SerExecutorTest, ForcedAbortFallsBackAndOutputMatches) {
   std::vector<uint8_t> input_before = PartitionBytes(input);
 
   SerExecutor exec(p.heap, p.wk, p.layouts, p.program, *p.transformed);
-  FaultPlan faults;
+  FaultInjector faults;
   faults.AbortTask(0, 50);
   bool launched = false;
   exec.set_launch_hook([&launched] { launched = true; });

@@ -268,5 +268,43 @@ TEST(HadoopEngineTest, CompilerStatsAccumulate) {
   EXPECT_GT(w.engine.stats().transform.functions_transformed, 2);
 }
 
+TEST(HadoopEngineTest, CompilesThroughThePlanCacheLikeSpark) {
+  // One RunJob compiles one stage (the map stage) plus one plan each for
+  // the map stage, the key, the reduce function and, when given, the
+  // combiner.
+  WordCountWorkload w(EngineMode::kGerenuk);
+  DatasetPtr in = w.MakeInput(50);
+  w.engine.ResetMetrics();
+  w.engine.RunJob(in, w.udfs, w.tokenize, w.word_count, KeySpec{w.word_key, true}, w.sum_counts);
+  EXPECT_EQ(w.engine.stats().stages_compiled, 1);
+  EXPECT_EQ(w.engine.stats().plans_compiled, 3);
+  EXPECT_EQ(w.engine.stats().plan_cache_hits, 0);
+  w.engine.ResetMetrics();
+  w.engine.RunJob(in, w.udfs, w.tokenize, w.word_count, KeySpec{w.word_key, true}, w.sum_counts,
+                  w.sum_counts);
+  EXPECT_EQ(w.engine.stats().stages_compiled, 1);
+  EXPECT_EQ(w.engine.stats().plans_compiled, 4);
+
+  // With a cache, a repeat job is served entirely from it: every plan the
+  // first job compiled (or hit) is a hit the second time.
+  WordCountWorkload cached(EngineMode::kGerenuk);
+  PlanCache cache(64u << 20);
+  cached.engine.set_plan_cache(&cache);
+  DatasetPtr cached_in = cached.MakeInput(50);
+  cached.engine.ResetMetrics();
+  cached.engine.RunJob(cached_in, cached.udfs, cached.tokenize, cached.word_count,
+                       KeySpec{cached.word_key, true}, cached.sum_counts, cached.sum_counts);
+  const EngineStats first = cached.engine.stats();
+  EXPECT_EQ(first.stages_compiled, 1);
+  EXPECT_EQ(first.plans_compiled + first.plan_cache_hits, 4)
+      << "the combiner is the reduce function, so its plan may come from the cache";
+  cached.engine.ResetMetrics();
+  cached.engine.RunJob(cached_in, cached.udfs, cached.tokenize, cached.word_count,
+                       KeySpec{cached.word_key, true}, cached.sum_counts, cached.sum_counts);
+  EXPECT_EQ(cached.engine.stats().stages_compiled, 1);
+  EXPECT_EQ(cached.engine.stats().plans_compiled, 0);
+  EXPECT_EQ(cached.engine.stats().plan_cache_hits, 4);
+}
+
 }  // namespace
 }  // namespace gerenuk

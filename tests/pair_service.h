@@ -16,18 +16,17 @@
 
 namespace gerenuk {
 
-// Per-slot setup payload: the Pair klasses + UDFs, built once per engine
-// (and rebuilt by the circuit breaker after a slot rebuild).
+// Per-slot setup payload: the Pair klasses + UDFs, built once per slot —
+// both front ends share the slot's class registry — and rebuilt by the
+// circuit breaker after a slot rebuild.
 struct PairServiceSetup {
-  PairUdfs spark;
-  PairUdfs hadoop;
+  PairUdfs udfs;
 };
 
 inline EngineSetup PairSetupFn() {
   return [](EngineContext& ctx) -> std::shared_ptr<void> {
     auto setup = std::make_shared<PairServiceSetup>();
-    BuildPairUdfs(*ctx.spark, &setup->spark);
-    BuildPairUdfs(*ctx.hadoop, &setup->hadoop);
+    BuildPairUdfs(*ctx.spark, &setup->udfs);
     return setup;
   };
 }
@@ -73,9 +72,9 @@ inline JobSpec KindJob(int kind) {
   spec.run = [kind](EngineContext& ctx) -> std::string {
     auto* setup = static_cast<PairServiceSetup*>(ctx.setup.get());
     if (kind == 3) {
-      return RunKindOnHadoop(*ctx.hadoop, setup->hadoop);
+      return RunKindOnHadoop(*ctx.hadoop, setup->udfs);
     }
-    return RunKindOnSpark(kind, *ctx.spark, setup->spark);
+    return RunKindOnSpark(kind, *ctx.spark, setup->udfs);
   };
   return spec;
 }

@@ -349,6 +349,67 @@ TEST(ServiceTest, SubmitWaitSucceedsWithPerJobStats) {
   EXPECT_GE(result.queue_wait_ns, 0);
 }
 
+// ---------------------------------------------------------------------------
+// One EngineCore per slot
+// ---------------------------------------------------------------------------
+
+TEST(ServiceTest, SlotFrontEndsShareOneCore) {
+  EngineService service(SmallService(2));
+  Session session = service.CreateSession("alice");
+  JobSpec probe;
+  probe.name = "probe";
+  probe.run = [](EngineContext& ctx) -> std::string {
+    std::string flags;
+    flags += &ctx.spark->core() == &ctx.hadoop->core() ? '1' : '0';
+    flags += &ctx.spark->heap() == &ctx.hadoop->heap() ? '1' : '0';
+    flags += &ctx.spark->core().scheduler() == &ctx.hadoop->core().scheduler() ? '1' : '0';
+    flags += ctx.spark->plan_cache() != nullptr &&
+                     ctx.spark->plan_cache() == ctx.hadoop->plan_cache()
+                 ? '1'
+                 : '0';
+    return flags;
+  };
+  for (int i = 0; i < 4; ++i) {
+    const JobResult result = WaitDone(session.Submit(probe));
+    ASSERT_EQ(result.status, JobStatus::kSucceeded) << result.error;
+    EXPECT_EQ(result.output, "1111") << "core, heap, scheduler, plan cache";
+  }
+}
+
+TEST(ServiceTest, JobStatsMatchTheSameBodyOnStandaloneEngines) {
+  // One core per slot means one EngineStats: a job's stats must count each
+  // task once, exactly as the same body on a fresh standalone engine does.
+  std::vector<EngineStats> standalone(kJobKinds);
+  for (int kind = 0; kind < 3; ++kind) {
+    SparkEngine spark(ServiceEngineConfig());
+    PairUdfs udfs;
+    BuildPairUdfs(spark, &udfs);
+    RunKindOnSpark(kind, spark, udfs);
+    standalone[kind] = spark.stats();
+  }
+  {
+    HadoopConfig hadoop_config;
+    hadoop_config.engine = ServiceEngineConfig();
+    HadoopEngine hadoop(hadoop_config);
+    PairUdfs udfs;
+    BuildPairUdfs(hadoop, &udfs);
+    RunKindOnHadoop(hadoop, udfs);
+    standalone[3] = hadoop.stats();
+  }
+
+  EngineService service(SmallService(1));
+  Session session = service.CreateSession("alice");
+  for (int kind = 0; kind < kJobKinds; ++kind) {
+    const JobResult result = WaitDone(session.Submit(KindJob(kind)));
+    ASSERT_EQ(result.status, JobStatus::kSucceeded) << result.error;
+    EXPECT_GT(result.stats.tasks_run, 0) << "kind " << kind;
+    EXPECT_EQ(result.stats.tasks_run, standalone[kind].tasks_run) << "kind " << kind;
+    EXPECT_EQ(result.stats.fast_path_commits, standalone[kind].fast_path_commits)
+        << "kind " << kind;
+    EXPECT_EQ(result.stats.shuffle_bytes, standalone[kind].shuffle_bytes) << "kind " << kind;
+  }
+}
+
 TEST(ServiceTest, FailedJobCarriesTheError) {
   EngineService service(SmallService(1));
   Session session = service.CreateSession("alice");
@@ -533,7 +594,7 @@ TEST(ServiceTest, CancelRunningJobUnwindsAtATaskBoundaryWithPartialStats) {
   endless.run = [started](EngineContext& ctx) -> std::string {
     auto* setup = static_cast<PairServiceSetup*>(ctx.setup.get());
     for (;;) {
-      RunKindOnSpark(0, *ctx.spark, setup->spark);
+      RunKindOnSpark(0, *ctx.spark, setup->udfs);
       started->store(true);
     }
   };
@@ -565,7 +626,7 @@ TEST(ServiceTest, DeadlineExpiresMidRunAtATaskBoundary) {
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
     auto* setup = static_cast<PairServiceSetup*>(ctx.setup.get());
     for (;;) {
-      RunKindOnSpark(0, *ctx.spark, setup->spark);
+      RunKindOnSpark(0, *ctx.spark, setup->udfs);
     }
   };
   const JobResult result = WaitDone(session.Submit(std::move(slow)), std::chrono::seconds(30));
@@ -603,7 +664,7 @@ TEST(ServiceTest, DefaultDeadlineAppliesWhenSpecLeavesItZero) {
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
     auto* setup = static_cast<PairServiceSetup*>(ctx.setup.get());
     for (;;) {
-      RunKindOnSpark(0, *ctx.spark, setup->spark);
+      RunKindOnSpark(0, *ctx.spark, setup->udfs);
     }
   };
   EXPECT_EQ(WaitDone(session.Submit(std::move(slow)), std::chrono::seconds(30)).status,

@@ -368,7 +368,7 @@ struct VecPipeline {
   // Runs the task with `plan` (null = interpreter fast path) and returns the
   // output partition's bytes.
   std::vector<uint8_t> Run(const NativePartition& input, const SerPlan* plan,
-                           const FaultPlan* faults = nullptr, int* aborts = nullptr) {
+                           const FaultInjector* faults = nullptr, int* aborts = nullptr) {
     SerExecutor exec(heap, wk, layouts, program, *transformed);
     NativePartition output;
     InlineSerializer serde(heap);
@@ -426,7 +426,7 @@ TEST(VecStageTest, MidPartitionAbortUnderVecPlanReproducesCleanBytes) {
   for (int32_t batch : {4, 256}) {
     std::shared_ptr<const SerPlan> vec = p.Compile(true, batch);
     ASSERT_GE(vec->vec_loops(), 1);
-    FaultPlan faults;
+    FaultInjector faults;
     faults.AbortTask(0, /*record=*/7);  // mid-partition, mid-batch state live
     int aborts = 0;
     EXPECT_EQ(p.Run(input, vec.get(), &faults, &aborts), clean) << "batch " << batch;

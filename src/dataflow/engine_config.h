@@ -22,11 +22,12 @@
 
 namespace gerenuk {
 
-// Service-mode hook generalizing the SpeculationGovernor from per-engine to
-// per-tenant-per-SER: `should_speculate(sig)` is consulted (in addition to
-// the engine's own governor) before each speculative stage, keyed by the
-// stage's ProgramSignature hash; `observe(sig, tasks, aborts)` is fed at
-// the stage barrier. Both driver-side, never from workers. Installed via
+// Service-mode hook applying the SpeculationGovernor rule per tenant and per
+// SER: `should_speculate(sig)` is consulted (in addition to the engine's own
+// governor) before each speculative stage, keyed by the stage's
+// ProgramSignature hash; `observe(sig, tasks, aborts)` is fed at the stage
+// barrier. Both driver-side, never from workers. The service answers both
+// from one SpeculationGovernor per (tenant, SER). Installed via
 // SparkEngine/HadoopEngine::set_speculation_oracle.
 struct SpeculationOracle {
   std::function<bool(uint64_t signature_hash)> should_speculate;

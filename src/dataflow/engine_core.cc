@@ -20,19 +20,30 @@ HeapConfig EngineHeapConfig(const EngineConfig& config) {
 
 }  // namespace
 
-void GerenukTask::Run(SerExecutor& exec) {
+void GerenukTask::Run(SerExecutor& exec, const TaskBodies& bodies) {
   EngineStats& stats = ctx.stats();
   if (!speculate) {
-    exec.RunDirectSlowPath(io, stats.times);
+    exec.RunDirectSlowPath(io, stats.times, bodies);
     stats.slow_path_direct += 1;
     return;
   }
-  const SpecOutcome outcome = exec.RunTaskIo(io, stats.times);
+  const SpecOutcome outcome = exec.RunTaskIo(io, stats.times, bodies);
   if (outcome.committed_fast_path) {
     stats.fast_path_commits += 1;
   } else {
     stats.aborts += outcome.aborts;
   }
+}
+
+CommittedRecord FoldIntoScratch(SerRunner& runner, BuilderStore& builders, const Function* fn,
+                                const Klass* klass, int64_t acc, int64_t next,
+                                NativePartition* scratch) {
+  const Value merged = runner.CallFunction(fn, {Value::Addr(acc), Value::Addr(next)});
+  ByteBuffer body;
+  builders.RenderBody(merged.i, klass, body);
+  builders.Clear();
+  const int64_t addr = scratch->AppendRecord(body.data(), static_cast<uint32_t>(body.size()));
+  return {addr, static_cast<int64_t>(body.size())};
 }
 
 EngineCore::EngineCore(const EngineConfig& config)

@@ -39,11 +39,26 @@ struct GerenukTask {
   bool speculate;
   TaskIo io;
 
-  // Routes `io` through `exec`: RunTaskIo when speculating (counting a
-  // fast-path commit or the aborts), RunDirectSlowPath otherwise (counting a
-  // direct slow-path task).
-  void Run(SerExecutor& exec);
+  // Routes `io` and `bodies` (by default the record loop over `io.input`)
+  // through `exec`: RunTaskIo when speculating (counting a fast-path commit
+  // or the aborts), RunDirectSlowPath otherwise (counting a direct run).
+  void Run(SerExecutor& exec, const TaskBodies& bodies);
+  void Run(SerExecutor& exec) { Run(exec, exec.RecordLoop(io, ctx.stats().times)); }
 };
+
+// A committed native record: its body's address and size.
+struct CommittedRecord {
+  int64_t addr;
+  int64_t size;
+};
+
+// The fast-path fold step every Gerenuk reduce shares (Spark's ReduceByKey,
+// Hadoop's reducer and combiner): applies the transformed reduce function
+// `fn` to two committed records on `runner` and commits the result into
+// `scratch`, so the next fold reads committed bytes.
+CommittedRecord FoldIntoScratch(SerRunner& runner, BuilderStore& builders, const Function* fn,
+                                const Klass* klass, int64_t acc, int64_t next,
+                                NativePartition* scratch);
 
 struct GerenukStageSpec {
   const char* label = "";  // stage span and TaskIo label

@@ -230,15 +230,15 @@ void SparkEngine::ShuffleBaseline(const DatasetPtr& input, const StagePrograms& 
     int64_t shuffle_before = ctx.stats().shuffle_bytes;
     std::vector<ByteBuffer>& task_buckets = (*buckets)[static_cast<size_t>(p)];
     std::vector<int64_t>& task_counts = (*bucket_counts)[static_cast<size_t>(p)];
+    // One interpreter per task: key extraction re-enters it from the emit.
     Interpreter interp(*stage.original, core.heap(), core.wk(), &core.layouts(), nullptr);
-    Interpreter key_interp(*key_fn.original, core.heap(), core.wk(), &core.layouts(), nullptr);
     size_t cursor = 0;
     const std::vector<ObjRef>& in_part = input->heap_parts[static_cast<size_t>(p)];
     RecordChannel channel;
     channel.next_heap_record = [&in_part, &cursor]() { return in_part[cursor]; };
-    channel.emit_heap_record = [&core, &ctx, &key_interp, &key_fn, &key, &task_buckets,
+    channel.emit_heap_record = [&core, &ctx, &interp, &key_fn, &key, &task_buckets,
                                 &task_counts, &hasher](ObjRef ref, const Klass* klass) {
-      ShuffleKey k = EvalShuffleKey(key_interp, key_fn.orig_fn,
+      ShuffleKey k = EvalShuffleKey(interp, key_fn.orig_fn,
                                     Value::Ref(static_cast<int64_t>(ref)), key.is_string);
       size_t b = hasher(k) % task_buckets.size();
       ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
@@ -363,8 +363,7 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
 
     core.RunBaselineStage("reduce", parts, [&](WorkerContext& ctx, int p) {
       Heap& heap = core.heap();
-      Interpreter reduce_interp(*reduce_c.original, heap, core.wk(), &core.layouts(), nullptr);
-      Interpreter key_interp(*key_c.original, heap, core.wk(), &core.layouts(), nullptr);
+      Interpreter interp(*reduce_c.original, heap, core.wk(), &core.layouts(), nullptr);
       ComputePhaseScope compute(ctx.stats().times);
       // Aggregation map: key -> index into the (GC-rooted) value vector.
       std::unordered_map<ShuffleKey, size_t, ShuffleKey::Hash> agg;
@@ -380,14 +379,14 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
           }
           RootScope scope(heap);
           size_t rec_slot = scope.Push(rec);
-          ShuffleKey k = EvalShuffleKey(key_interp, key_c.orig_fn,
+          ShuffleKey k = EvalShuffleKey(interp, key_c.orig_fn,
                                         Value::Ref(static_cast<int64_t>(rec)), key.is_string);
           auto it = agg.find(k);
           if (it == agg.end()) {
             agg.emplace(std::move(k), values.size());
             values.push_back(scope.Get(rec_slot));
           } else {
-            Value merged = reduce_interp.CallFunction(
+            Value merged = interp.CallFunction(
                 reduce_c.orig_fn, {Value::Ref(static_cast<int64_t>(values[it->second])),
                                    Value::Ref(static_cast<int64_t>(scope.Get(rec_slot)))});
             values[it->second] = static_cast<ObjRef>(merged.i);
@@ -409,99 +408,63 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
   core.RunGerenukStage({"reduce", parts, reduce_c.signature.hash, &codec}, [&](GerenukTask& task) {
     WorkerContext& ctx = task.ctx;
     const int p = task.index;
-    const bool speculate = task.speculate;
-    ctx.heap().set_phase_times(&ctx.stats().times);
     NativePartition& out_part = out->native_parts[static_cast<size_t>(p)];
     TraceSink* sink = ctx.trace_sink();
-    bool fast_ok = speculate;
-    const int64_t fast_start = (speculate && sink != nullptr) ? sink->Now() : 0;
-    if (speculate) try {
-      BuilderStore builders(core.layouts());
-      std::unique_ptr<SerRunner> reduce_runner = MakeFastRunner(
-          reduce_c.plan.get(), *reduce_c.transformed, ctx.heap(), ctx.wk(), &core.layouts(),
-          &builders, {key_c.plan.get()});
-      SerRunner& reduce_interp = *reduce_runner;
-      ComputePhaseScope compute(ctx.stats().times);
-      struct Entry {
-        int64_t addr;
-        int64_t size;
-      };
+    SerExecutor exec(ctx.heap(), ctx.wk(), core.layouts(), *reduce_c.original,
+                     *reduce_c.transformed);
+    task.io.plan = reduce_c.plan.get();
+    task.io.extra_plans.push_back(key_c.plan.get());
+    task.io.on_abort = [&out_part] { out_part.Release(); };
+    TaskBodies bodies;
+    bodies.fast = [&](FastPath& fast) {
+      fast.AbortIfForcedAtEntry();
       // The reader owns the bucket's fetched (spilled) blocks, and `agg`
       // keeps addresses into them for keys seen once — so it stays open
       // until the output loop below has copied every entry out.
       BucketReader bucket = shuffle->OpenBucket(p, &ctx.stats(), sink);
-      std::unordered_map<ShuffleKey, Entry, ShuffleKey::Hash> agg;
-      // Reduction results are rendered into a scratch region, compacted
-      // when garbage (superseded intermediates) dominates — region-based
-      // management in miniature.
+      std::unordered_map<ShuffleKey, CommittedRecord, ShuffleKey::Hash> agg;
       NativePartition scratch(&core.memory());
       int64_t live_bytes = 0;
       ShuffleKey scratch_key;
       bucket.ForEachRecord([&](int64_t addr, uint32_t size) {
-        if (EvalShuffleKeyInto(reduce_interp, key_c.fast_fn, Value::Addr(addr),
-                               key.is_string, &scratch_key)) {
+        fast.records_done += 1;
+        if (EvalShuffleKeyInto(fast.runner, key_c.fast_fn, Value::Addr(addr), key.is_string,
+                               &scratch_key)) {
           ctx.stats().key_allocs_saved += 1;
         }
         auto it = agg.find(scratch_key);
         if (it == agg.end()) {
-          agg.emplace(scratch_key, Entry{addr, static_cast<int64_t>(size)});
+          agg.emplace(scratch_key, CommittedRecord{addr, static_cast<int64_t>(size)});
           live_bytes += size;
-        } else {
-          Value merged = reduce_interp.CallFunction(
-              reduce_c.fast_fn, {Value::Addr(it->second.addr), Value::Addr(addr)});
-          ByteBuffer body;
-          builders.RenderBody(merged.i, rec_klass, body);
-          builders.Clear();
-          live_bytes -= it->second.size;
-          it->second.addr = scratch.AppendRecord(body.data(), static_cast<uint32_t>(body.size()));
-          it->second.size = static_cast<int64_t>(body.size());
-          live_bytes += it->second.size;
-          if (scratch.bytes_used() > (8 << 20) && scratch.bytes_used() > 2 * live_bytes) {
-            NativePartition compacted(&core.memory());
-            for (auto& [kk, entry] : agg) {
-              entry.addr = compacted.AppendRecord(reinterpret_cast<const uint8_t*>(entry.addr),
-                                                  static_cast<uint32_t>(entry.size));
-            }
-            scratch = std::move(compacted);
+          return;
+        }
+        live_bytes -= it->second.size;
+        it->second = FoldIntoScratch(fast.runner, fast.builders, reduce_c.fast_fn, rec_klass,
+                                     it->second.addr, addr, &scratch);
+        live_bytes += it->second.size;
+        // Compact once garbage (superseded intermediates) dominates —
+        // region-based management in miniature.
+        if (scratch.bytes_used() > (8 << 20) && scratch.bytes_used() > 2 * live_bytes) {
+          NativePartition compacted(&core.memory());
+          for (auto& [kk, entry] : agg) {
+            entry.addr = compacted.AppendRecord(reinterpret_cast<const uint8_t*>(entry.addr),
+                                                static_cast<uint32_t>(entry.size));
           }
+          scratch = std::move(compacted);
         }
       });
       for (const auto& [kk, entry] : agg) {
         out_part.AppendRecord(reinterpret_cast<const uint8_t*>(entry.addr),
                               static_cast<uint32_t>(entry.size));
       }
-      ctx.stats().fast_path_commits += 1;
-      if (sink != nullptr) {
-        sink->Span(TraceEventType::kFastPath, "fast_path", fast_start);
-      }
-    } catch (const SerAbort& abort) {
-      // Instant first, span second: the abort timestamp nests inside the
-      // fast-path span, matching the SerExecutor emission order.
-      if (sink != nullptr) {
-        sink->Instant(TraceEventType::kAbort, "abort", static_cast<int64_t>(abort.reason));
-        sink->Span(TraceEventType::kFastPath, "fast_path", fast_start);
-      }
-      fast_ok = false;
-    }
-    if (!fast_ok) {
-      // Reduce-side abort (or governor-degraded routing): run this
-      // bucket on the slow path inside the same worker — sibling reduce
-      // tasks keep running.
-      TraceSpan slow_span(sink, TraceEventType::kSlowPath, "slow_path", speculate ? 0 : 1);
-      if (speculate) {
-        ctx.stats().aborts += 1;
-        out_part.Release();
-      } else {
-        ctx.stats().slow_path_direct += 1;
-      }
-      Interpreter reduce_interp(*reduce_c.original, ctx.heap(), ctx.wk(), &core.layouts(),
-                                nullptr);
-      Interpreter key_interp(*key_c.original, ctx.heap(), ctx.wk(), &core.layouts(), nullptr);
-      ComputePhaseScope compute(ctx.stats().times);
+    };
+    bodies.slow = [&](Interpreter& interp) {
       std::unordered_map<ShuffleKey, size_t, ShuffleKey::Hash> agg;
       std::vector<ObjRef> values;
       ctx.heap().AddRootVector(&values);
+      int64_t records = 0;
       shuffle->ForEachRecordInBucket(p, &ctx.stats(), sink, [&](int64_t addr, uint32_t size) {
+        records += 1;
         ObjRef rec;
         {
           ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
@@ -510,14 +473,14 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
         }
         RootScope scope(ctx.heap());
         size_t rec_slot = scope.Push(rec);
-        ShuffleKey k = EvalShuffleKey(key_interp, key_c.orig_fn,
+        ShuffleKey k = EvalShuffleKey(interp, key_c.orig_fn,
                                       Value::Ref(static_cast<int64_t>(rec)), key.is_string);
         auto it = agg.find(k);
         if (it == agg.end()) {
           agg.emplace(std::move(k), values.size());
           values.push_back(scope.Get(rec_slot));
         } else {
-          Value merged = reduce_interp.CallFunction(
+          Value merged = interp.CallFunction(
               reduce_c.orig_fn, {Value::Ref(static_cast<int64_t>(values[it->second])),
                                  Value::Ref(static_cast<int64_t>(scope.Get(rec_slot)))});
           values[it->second] = static_cast<ObjRef>(merged.i);
@@ -530,9 +493,10 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
         out_part.AppendRecord(body.data() + 4, static_cast<uint32_t>(body.size() - 4));
       }
       ctx.heap().RemoveRootVector(&values);
-    }
+      return records;
+    };
+    task.Run(exec, bodies);
     out_part.Seal();
-    ctx.heap().set_phase_times(nullptr);
   });
   return out;
 }
@@ -564,9 +528,7 @@ DatasetPtr SparkEngine::JoinByKey(const DatasetPtr& left, const KeySpec& left_ke
 
     core.RunBaselineStage("join", parts, [&](WorkerContext& ctx, int p) {
       Heap& heap = core.heap();
-      Interpreter key_interp_l(*lkey.original, heap, core.wk(), &core.layouts(), nullptr);
-      Interpreter key_interp_r(*rkey.original, heap, core.wk(), &core.layouts(), nullptr);
-      Interpreter combine_interp(*combine.original, heap, core.wk(), &core.layouts(), nullptr);
+      Interpreter interp(*combine.original, heap, core.wk(), &core.layouts(), nullptr);
       ComputePhaseScope compute(ctx.stats().times);
       std::unordered_map<ShuffleKey, std::vector<size_t>, ShuffleKey::Hash> table;
       std::vector<ObjRef> lvalues;
@@ -580,7 +542,7 @@ DatasetPtr SparkEngine::JoinByKey(const DatasetPtr& left, const KeySpec& left_ke
             rec = core.kryo().Deserialize(left->klass, lreader);
           }
           lvalues.push_back(rec);
-          ShuffleKey k = EvalShuffleKey(key_interp_l, lkey.orig_fn,
+          ShuffleKey k = EvalShuffleKey(interp, lkey.orig_fn,
                                         Value::Ref(static_cast<int64_t>(rec)), left_key.is_string);
           table[k].push_back(lvalues.size() - 1);
         }
@@ -596,14 +558,14 @@ DatasetPtr SparkEngine::JoinByKey(const DatasetPtr& left, const KeySpec& left_ke
           }
           RootScope scope(heap);
           size_t rec_slot = scope.Push(rec);
-          ShuffleKey k = EvalShuffleKey(key_interp_r, rkey.orig_fn,
+          ShuffleKey k = EvalShuffleKey(interp, rkey.orig_fn,
                                         Value::Ref(static_cast<int64_t>(rec)), right_key.is_string);
           auto it = table.find(k);
           if (it == table.end()) {
             continue;
           }
           for (size_t li : it->second) {
-            Value combined = combine_interp.CallFunction(
+            Value combined = interp.CallFunction(
                 combine.orig_fn, {Value::Ref(static_cast<int64_t>(lvalues[li])),
                                   Value::Ref(static_cast<int64_t>(scope.Get(rec_slot)))});
             out_part.push_back(static_cast<ObjRef>(combined.i));

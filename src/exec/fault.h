@@ -298,6 +298,8 @@ class FaultInjector {
 // remaining stages run the slow path directly, skipping the
 // speculate-then-abort tax. With speculation off no new aborts accrue, so
 // the rate freezes and the governor stays off — one deterministic flip.
+// It is the one abort-rate rule: each engine core keeps one, and the service
+// keeps one per (tenant, SER) behind its SpeculationOracle.
 class SpeculationGovernor {
  public:
   // threshold <= 0 disables the governor (always speculate).
@@ -306,9 +308,6 @@ class SpeculationGovernor {
 
   bool enabled() const { return threshold_ > 0.0; }
   bool ShouldSpeculate() const { return !enabled() || speculating_; }
-  int flips() const { return flips_; }
-  int64_t tasks_observed() const { return tasks_; }
-  int64_t aborts_observed() const { return aborts_; }
 
   // Reports one completed speculative stage. Returns true if this
   // observation flipped the governor off.
@@ -321,17 +320,9 @@ class SpeculationGovernor {
     if (tasks_ >= min_tasks_ &&
         static_cast<double>(aborts_) >= threshold_ * static_cast<double>(tasks_)) {
       speculating_ = false;
-      flips_ += 1;
       return true;
     }
     return false;
-  }
-
-  void Reset() {
-    tasks_ = 0;
-    aborts_ = 0;
-    speculating_ = true;
-    flips_ = 0;
   }
 
  private:
@@ -340,7 +331,6 @@ class SpeculationGovernor {
   int64_t tasks_ = 0;
   int64_t aborts_ = 0;
   bool speculating_ = true;
-  int flips_ = 0;
 };
 
 }  // namespace gerenuk

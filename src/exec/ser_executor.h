@@ -1,10 +1,15 @@
 // The speculative execution engine (§3.6): runs a task's transformed SER
-// over a native input partition; if an abort instruction fires, the
-// executor is "terminated and relaunched" — every intermediate buffer and
-// builder is discarded, the *original* program is re-executed over the same
-// (immutable, hence intact) input buffers, deserializing each record into
-// heap objects and re-serializing the outputs into the native format the
+// over native data; if an abort instruction fires, the executor is
+// "terminated and relaunched" — every intermediate buffer and builder is
+// discarded, and the *original* program re-executes over the same
+// (immutable, hence intact) input, deserializing each record into heap
+// objects and re-serializing the outputs into the native format the
 // downstream task expects.
+//
+// That response is written once: RunTaskIo's speculation protocol runs a
+// pair of TaskBodies. The per-record loop over `TaskIo::input` is the default
+// pair (RecordLoop); reduce folds supply a fast and a slow fold body, so
+// every Gerenuk task commits, aborts and re-executes the same way.
 //
 // The per-phase time breakdown (compute / GC / serialize / deserialize)
 // accumulates into the caller's PhaseTimes — the numbers behind Figure 6's
@@ -31,7 +36,9 @@ struct SpecOutcome {
 
 // Engine-level task description: where records come from, where emitted
 // records go (the engine may route them to shuffle buckets), and any extra
-// arguments for the task body (e.g. a broadcast variable's record).
+// arguments for the task body (e.g. a broadcast variable's record). The
+// record fields serve the RecordLoop bodies; a fold task reads its own input
+// and leaves them (and `input`, so there is no checksum gate) unset.
 struct TaskIo {
   const NativePartition* input = nullptr;
   // Compiled plan for the transformed program; when set, the fast path runs
@@ -90,6 +97,36 @@ struct TaskIo {
   int64_t plan_profile_stride = 0;
 };
 
+// What a fast body sees of one speculation attempt: the task, the runner the
+// protocol built for it (the tree-walking Interpreter, or a PlanExecutor
+// when TaskIo::plan is set), and the runner's builder scratch.
+struct FastPath {
+  TaskIo& io;
+  SerRunner& runner;
+  PlanExecutor* plan;  // `runner` when it is a compiled plan, else null
+  BuilderStore& builders;
+  // Records the body has finished; an abort counts them as wasted work.
+  int64_t records_done = 0;
+
+  // A fold body has no per-record hook: a forced abort planned on its task
+  // fires once, at fold entry.
+  void AbortIfForcedAtEntry() const;
+};
+
+// Notes one fast-path abort: the abort instant on `trace` (emitted while the
+// enclosing fast-path span is still open, so it nests inside it) and the
+// count and reason on `outcome`.
+void RecordAbort(const SerAbort& abort, TraceSink* trace, SpecOutcome* outcome);
+
+// The two halves of a task the protocol runs. `fast` runs the transformed
+// program on the protocol's runner and may throw SerAbort. `slow` runs the
+// original program on a fresh Interpreter and returns the records it
+// processed.
+struct TaskBodies {
+  std::function<void(FastPath&)> fast;
+  std::function<int64_t(Interpreter&)> slow;
+};
+
 class SerExecutor {
  public:
   SerExecutor(Heap& heap, WellKnown& wk, const DataStructAnalyzer& layouts,
@@ -117,20 +154,38 @@ class SerExecutor {
   // tests that need reference output).
   void RunSlowPath(const NativePartition& input, NativePartition* output, PhaseTimes& times);
 
-  // General engine entry points with custom routing and body arguments.
-  SpecOutcome RunTaskIo(TaskIo& io, PhaseTimes& times);
-  void RunSlowPathIo(TaskIo& io, PhaseTimes& times);
+  // The default bodies: the task body runs once per record of `io.input`,
+  // reading through a RecordChannel and emitting through io's callbacks.
+  TaskBodies RecordLoop(TaskIo& io, PhaseTimes& times);
 
-  // Governor-degraded execution: skips speculation entirely and runs the
-  // original program, but keeps the task-entry gates (fault injection, input
+  // The speculation protocol: the entry gates, then `bodies.fast` (inside the
+  // fast-path span); on an abort, the abort instant, `io.on_abort`, the launch
+  // hook and `bodies.slow` (inside the slow-path span). The two-argument form
+  // runs RecordLoop(io, times).
+  SpecOutcome RunTaskIo(TaskIo& io, PhaseTimes& times, const TaskBodies& bodies);
+  SpecOutcome RunTaskIo(TaskIo& io, PhaseTimes& times) {
+    return RunTaskIo(io, times, RecordLoop(io, times));
+  }
+
+  // Governor-degraded execution: skips speculation entirely and runs
+  // `bodies.slow`, but keeps the task-entry gates (fault injection, input
   // checksum) and the released-slot-on-throw contract of RunTaskIo.
-  void RunDirectSlowPath(TaskIo& io, PhaseTimes& times);
+  void RunDirectSlowPath(TaskIo& io, PhaseTimes& times, const TaskBodies& bodies);
 
  private:
-  bool RunFastPathIo(TaskIo& io, PhaseTimes& times, SpecOutcome* outcome);
+  bool RunFastBody(TaskIo& io, PhaseTimes& times, const TaskBodies& bodies,
+                   SpecOutcome* outcome);
+  // The slow path inside its span (`span_arg` 1 = routed directly, without a
+  // preceding abort); a throw tears down the partial output via on_abort.
+  int64_t RunSlowBody(TaskIo& io, PhaseTimes& times, const TaskBodies& bodies, int span_arg);
   // Task-entry gates: applies planned entry faults for this attempt, then
   // verifies a sealed input's integrity checksum (throws TaskError).
   void EnterTask(TaskIo& io);
+  void RecordLoopFast(FastPath& fast);
+  int64_t RecordLoopSlow(TaskIo& io, PhaseTimes& times, Interpreter& interp);
+  // RunTask's routing: both paths append to `output`; an abort releases it.
+  TaskIo OutputIo(const NativePartition& input, NativePartition* output, PhaseTimes& times,
+                  InlineSerializer& serde);
 
   Heap& heap_;
   WellKnown& wk_;

@@ -261,10 +261,9 @@ std::vector<MapSegment> HadoopEngine::MapBaseline(const DatasetPtr& input,
     if (config_.yak_epochs) {
       heap.EpochStart();  // Yak: data objects of this task go to a region
     }
+    // One interpreter per task: key extraction and the combiner re-enter it
+    // from the emit.
     Interpreter interp(*job.map.original, heap, core.wk(), &core.layouts(), nullptr);
-    Interpreter key_interp(*job.key.original, heap, core.wk(), &core.layouts(), nullptr);
-    Interpreter combine_interp(job.has_combiner ? *job.combine.original : *job.key.original,
-                               heap, core.wk(), &core.layouts(), nullptr);
     ByteBuffer buffer;
     std::vector<BufferEntry> entries;
 
@@ -290,7 +289,7 @@ std::vector<MapSegment> HadoopEngine::MapBaseline(const DatasetPtr& input,
               acc = rec;
             } else {
               ctx.stats().combine_calls += 1;
-              Value merged = combine_interp.CallFunction(
+              Value merged = interp.CallFunction(
                   job.combine.orig_fn, {Value::Ref(static_cast<int64_t>(scope.Get(acc))),
                                         Value::Ref(static_cast<int64_t>(scope.Get(rec)))});
               scope.Set(acc, static_cast<ObjRef>(merged.i));
@@ -321,7 +320,7 @@ std::vector<MapSegment> HadoopEngine::MapBaseline(const DatasetPtr& input,
     RecordChannel channel;
     channel.next_heap_record = [&in_part, &cursor]() { return in_part[cursor]; };
     channel.emit_heap_record = [&](ObjRef ref, const Klass* klass) {
-      ShuffleKey k = EvalShuffleKey(key_interp, job.key.orig_fn,
+      ShuffleKey k = EvalShuffleKey(interp, job.key.orig_fn,
                                     Value::Ref(static_cast<int64_t>(ref)), job.key_spec.is_string);
       int part = static_cast<int>(hasher(k) % static_cast<size_t>(reducers));
       ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
@@ -393,30 +392,24 @@ std::vector<MapSegment> HadoopEngine::MapGerenuk(const DatasetPtr& input,
         bool combined = false;
         if (job.has_combiner && !skip_combiner && j - i > 1) {
           try {
-            int64_t acc = entries[i].addr;
+            // Intermediates die with the map output region after this spill.
+            CommittedRecord acc{entries[i].addr, entries[i].size};
             for (size_t r = i + 1; r < j; ++r) {
               ctx.stats().combine_calls += 1;
-              Value merged = combine_interp.CallFunction(
-                  combine.fast_fn, {Value::Addr(acc), Value::Addr(entries[r].addr)});
-              // Render the intermediate so the next fold reads committed
-              // bytes (the builder is reset per fold).
-              ByteBuffer body;
-              builders.RenderBody(merged.i, job.out_klass, body);
-              builders.Clear();
-              acc = region->AppendRecord(body.data(), static_cast<uint32_t>(body.size()));
+              acc = FoldIntoScratch(combine_interp, builders, combine.fast_fn, job.out_klass,
+                                    acc.addr, entries[r].addr, region.get());
             }
             segment.keys[part].push_back(entries[i].key);
-            out.AppendRecord(reinterpret_cast<const uint8_t*>(acc),
-                             static_cast<uint32_t>(
-                                 MeasureCommittedBody(core.layouts(), job.out_klass, acc)));
+            out.AppendRecord(reinterpret_cast<const uint8_t*>(acc.addr),
+                             static_cast<uint32_t>(acc.size));
             combined = true;
           } catch (const SerAbort& abort) {
-            if (ctx.trace_sink() != nullptr) {
-              ctx.trace_sink()->Instant(TraceEventType::kAbort, "abort",
-                                        static_cast<int64_t>(abort.reason));
-            }
-            ctx.stats().aborts += 1;
-            skip_combiner = true;  // keep correctness, drop the optimization
+            // The combine fold, not the map task, aborted: keep correctness,
+            // drop the optimization.
+            SpecOutcome dropped;
+            RecordAbort(abort, ctx.trace_sink(), &dropped);
+            ctx.stats().aborts += dropped.aborts;
+            skip_combiner = true;
           }
         }
         if (!combined) {
@@ -445,48 +438,38 @@ std::vector<MapSegment> HadoopEngine::MapGerenuk(const DatasetPtr& input,
     // copy below is unavoidable (entries own their keys), but the
     // extraction-side allocation is saved once the buffer warms up.
     auto scratch_key = std::make_shared<ShuffleKey>();
+    // Buffers one emitted record, committed in the region and keyed by
+    // `scratch_key`; spills once the region passes the sort buffer.
+    auto buffer_entry = [&, scratch_key](int64_t committed, int64_t size) {
+      int part = static_cast<int>(hasher(*scratch_key) % static_cast<size_t>(reducers));
+      entries.push_back({part, *scratch_key, 0, 0, committed, static_cast<uint32_t>(size)});
+      if (region->bytes_used() > static_cast<int64_t>(config_.sort_buffer_bytes)) {
+        spill();
+      }
+    };
     io.emit_native = [&, scratch_key](int64_t addr, const Klass* klass, SerRunner& interp,
                                       BuilderStore& builders) {
       if (EvalShuffleKeyInto(interp, job.key.fast_fn, Value::Addr(addr), job.key_spec.is_string,
                              scratch_key.get())) {
         ctx.stats().key_allocs_saved += 1;
       }
-      const ShuffleKey& k = *scratch_key;
-      int part = static_cast<int>(hasher(k) % static_cast<size_t>(reducers));
       int64_t before = region->bytes_used();
       int64_t committed = builders.Render(addr, klass, *region);
-      entries.push_back({part, k, 0, 0, committed,
-                         static_cast<uint32_t>(region->bytes_used() - before - 4)});
-      if (region->bytes_used() > static_cast<int64_t>(config_.sort_buffer_bytes)) {
-        spill();
-      }
+      buffer_entry(committed, region->bytes_used() - before - 4);
     };
     // Slow path after an abort: records come off the heap but stay in
-    // native form for the shuffle. The key interpreter is built once
-    // per task (lazily), not once per record.
-    auto key_interp = std::make_shared<std::unique_ptr<Interpreter>>();
-    io.emit_heap = [&, scratch_key, key_interp](ObjRef ref, const Klass* klass,
-                                                SerRunner& interp) {
-      if (!*key_interp) {
-        *key_interp = std::make_unique<Interpreter>(*job.key.original, ctx.heap(), ctx.wk(),
-                                                    &core.layouts(), nullptr);
-      }
-      if (EvalShuffleKeyInto(**key_interp, job.key.orig_fn,
-                             Value::Ref(static_cast<int64_t>(ref)), job.key_spec.is_string,
-                             scratch_key.get())) {
+    // native form for the shuffle. Key extraction runs on the slow path's
+    // own interpreter, as the fast path's does on its runner.
+    io.emit_heap = [&, scratch_key](ObjRef ref, const Klass* klass, SerRunner& interp) {
+      if (EvalShuffleKeyInto(interp, job.key.orig_fn, Value::Ref(static_cast<int64_t>(ref)),
+                             job.key_spec.is_string, scratch_key.get())) {
         ctx.stats().key_allocs_saved += 1;
       }
-      const ShuffleKey& k = *scratch_key;
-      int part = static_cast<int>(hasher(k) % static_cast<size_t>(reducers));
       ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
       ByteBuffer record;
       ctx.serde().WriteRecord(ref, klass, record);
-      int64_t committed =
-          region->AppendRecord(record.data() + 4, static_cast<uint32_t>(record.size() - 4));
-      entries.push_back({part, k, 0, 0, committed, static_cast<uint32_t>(record.size() - 4)});
-      if (region->bytes_used() > static_cast<int64_t>(config_.sort_buffer_bytes)) {
-        spill();
-      }
+      const uint32_t size = static_cast<uint32_t>(record.size() - 4);
+      buffer_entry(region->AppendRecord(record.data() + 4, size), size);
     };
     io.on_abort = [&] {
       // Tear down everything this task produced: unspilled entries, the
@@ -572,9 +555,10 @@ DatasetPtr HadoopEngine::ReduceBaseline(const std::vector<MapSegment>& segments,
   return out;
 }
 
-// One task per reducer, fanned out to the worker pool. Each key group folds
-// on the fast path; a group that aborts re-executes on the slow path inside
-// the same worker.
+// One task per reducer, fanned out to the worker pool. The reducer task is
+// the fold unit, as every other stage's task is: its fast body folds every
+// key group on committed records, and an abort re-runs the whole task on
+// the slow path.
 DatasetPtr HadoopEngine::ReduceGerenuk(const std::vector<MapSegment>& segments,
                                        const JobPrograms& job) {
   EngineCore& core = *core_;
@@ -587,78 +571,64 @@ DatasetPtr HadoopEngine::ReduceGerenuk(const std::vector<MapSegment>& segments,
     const int r = task.index;
     const size_t part = static_cast<size_t>(r);
     ctx.stats().reduce_tasks += 1;
-    ctx.heap().set_phase_times(&ctx.stats().times);
-    std::vector<SegRef> refs = MergedRefs(segments, r);
+    const std::vector<SegRef> refs = MergedRefs(segments, r);
     NativePartition& out_part = out->native_parts[part];
-    BuilderStore builders(core.layouts());
-    std::unique_ptr<SerRunner> reduce_runner =
-        MakeFastRunner(job.reduce.plan.get(), *job.reduce.transformed, ctx.heap(), ctx.wk(),
-                       &core.layouts(), &builders);
-    SerRunner& reduce_interp = *reduce_runner;
-    Interpreter slow_interp(*job.reduce.original, ctx.heap(), ctx.wk(), &core.layouts(),
-                            nullptr);
-    NativePartition scratch(&core.memory());
-    ComputePhaseScope compute(ctx.stats().times);
-    auto addr_of = [part](const SegRef& ref) {
-      return ref.segment->native[part].record_addr(ref.index);
+    auto record_of = [part](const SegRef& ref) {
+      const NativePartition& run = ref.segment->native[part];
+      return CommittedRecord{run.record_addr(ref.index), run.record_size(ref.index)};
     };
-    auto size_of = [part](const SegRef& ref) {
-      return ref.segment->native[part].record_size(ref.index);
-    };
-    ForEachKeyGroup(refs, r, [&](size_t i, size_t j) {
-      bool fast_ok = task.speculate;
-      if (task.speculate) try {
-        int64_t acc = addr_of(refs[i]);
-        uint32_t acc_size = size_of(refs[i]);
+    SerExecutor exec(ctx.heap(), ctx.wk(), core.layouts(), *job.reduce.original,
+                     *job.reduce.transformed);
+    task.io.plan = job.reduce.plan.get();
+    task.io.on_abort = [&out_part] { out_part.Release(); };
+    TaskBodies bodies;
+    bodies.fast = [&](FastPath& fast) {
+      fast.AbortIfForcedAtEntry();
+      NativePartition scratch(&core.memory());
+      ForEachKeyGroup(refs, r, [&](size_t i, size_t j) {
+        CommittedRecord acc = record_of(refs[i]);
         for (size_t v = i + 1; v < j; ++v) {
-          Value merged = reduce_interp.CallFunction(
-              job.reduce.fast_fn, {Value::Addr(acc), Value::Addr(addr_of(refs[v]))});
-          ByteBuffer body;
-          builders.RenderBody(merged.i, job.out_klass, body);
-          builders.Clear();
-          acc = scratch.AppendRecord(body.data(), static_cast<uint32_t>(body.size()));
-          acc_size = static_cast<uint32_t>(body.size());
+          acc = FoldIntoScratch(fast.runner, fast.builders, job.reduce.fast_fn, job.out_klass,
+                                acc.addr, record_of(refs[v]).addr, &scratch);
         }
-        out_part.AppendRecord(reinterpret_cast<const uint8_t*>(acc), acc_size);
-      } catch (const SerAbort& abort) {
-        if (ctx.trace_sink() != nullptr) {
-          ctx.trace_sink()->Instant(TraceEventType::kAbort, "abort",
-                                    static_cast<int64_t>(abort.reason));
+        out_part.AppendRecord(reinterpret_cast<const uint8_t*>(acc.addr),
+                              static_cast<uint32_t>(acc.size));
+        fast.records_done += static_cast<int64_t>(j - i);
+        // The group's result is copied out, so nothing in scratch is live:
+        // Spark's compaction rule reduces to freeing it past 8 MiB.
+        if (scratch.bytes_used() > (8 << 20)) {
+          scratch.Release();
         }
-        ctx.stats().aborts += 1;
-        fast_ok = false;
-      }
-      if (fast_ok) {
-        return;
-      }
-      TraceSpan slow_span(ctx.trace_sink(), TraceEventType::kSlowPath, "slow_path",
-                          task.speculate ? 0 : 1);
-      builders.Clear();
-      RootScope scope(ctx.heap());
-      size_t acc = 0;
-      for (size_t v = i; v < j; ++v) {
-        ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
-        ByteReader reader(reinterpret_cast<const uint8_t*>(addr_of(refs[v])), size_of(refs[v]));
-        size_t rec = scope.Push(ctx.serde().ReadBody(job.out_klass, reader));
-        if (v == i) {
-          acc = rec;
-        } else {
-          Value merged = slow_interp.CallFunction(
-              job.reduce.orig_fn, {Value::Ref(static_cast<int64_t>(scope.Get(acc))),
-                                   Value::Ref(static_cast<int64_t>(scope.Get(rec)))});
-          scope.Set(acc, static_cast<ObjRef>(merged.i));
+      });
+    };
+    bodies.slow = [&](Interpreter& interp) {
+      ForEachKeyGroup(refs, r, [&](size_t i, size_t j) {
+        RootScope scope(ctx.heap());
+        size_t acc = 0;
+        for (size_t v = i; v < j; ++v) {
+          ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
+          const CommittedRecord in = record_of(refs[v]);
+          ByteReader reader(reinterpret_cast<const uint8_t*>(in.addr),
+                            static_cast<size_t>(in.size));
+          size_t rec = scope.Push(ctx.serde().ReadBody(job.out_klass, reader));
+          if (v == i) {
+            acc = rec;
+          } else {
+            Value merged = interp.CallFunction(
+                job.reduce.orig_fn, {Value::Ref(static_cast<int64_t>(scope.Get(acc))),
+                                     Value::Ref(static_cast<int64_t>(scope.Get(rec)))});
+            scope.Set(acc, static_cast<ObjRef>(merged.i));
+          }
         }
-      }
-      ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
-      ByteBuffer record;
-      ctx.serde().WriteRecord(scope.Get(acc), job.out_klass, record);
-      out_part.AppendRecord(record.data() + 4, static_cast<uint32_t>(record.size() - 4));
-    });
-    if (!task.speculate) {
-      ctx.stats().slow_path_direct += 1;
-    }
+        ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
+        ByteBuffer record;
+        ctx.serde().WriteRecord(scope.Get(acc), job.out_klass, record);
+        out_part.AppendRecord(record.data() + 4, static_cast<uint32_t>(record.size() - 4));
+      });
+      return static_cast<int64_t>(refs.size());
+    };
+    task.Run(exec, bodies);
     out_part.Seal();
-    ctx.heap().set_phase_times(nullptr);
   });
   return out;
 }

@@ -444,42 +444,25 @@ void EngineService::ServiceInstant(TraceEventType type, const char* name, int64_
 void EngineService::InstallOracle(EngineSlot* slot, const std::string& tenant) {
   SpeculationOracle oracle;
   oracle.should_speculate = [this, tenant](uint64_t signature_hash) {
-    return TenantShouldSpeculate(tenant, signature_hash);
+    std::lock_guard<std::mutex> lock(tenants_mu_);
+    return TenantGovernor(tenant, signature_hash).ShouldSpeculate();
   };
   oracle.observe = [this, tenant](uint64_t signature_hash, int tasks, int aborts) {
-    TenantObserve(tenant, signature_hash, tasks, aborts);
+    std::lock_guard<std::mutex> lock(tenants_mu_);
+    // A per-tenant flip stays out of EngineStats::governor_flips, which
+    // counts the slot core's own governor only.
+    TenantGovernor(tenant, signature_hash).Observe(tasks, aborts);
   };
   slot->core->set_speculation_oracle(std::move(oracle));
 }
 
-bool EngineService::TenantShouldSpeculate(const std::string& tenant,
-                                          uint64_t signature_hash) const {
-  const double threshold = config_.engine.fault.governor_abort_threshold;
-  if (threshold <= 0.0) {
-    return true;  // oracle disabled; history still accumulates
-  }
-  std::lock_guard<std::mutex> lock(tenants_mu_);
-  auto tenant_it = tenants_.find(tenant);
-  if (tenant_it == tenants_.end()) {
-    return true;
-  }
-  auto history_it = tenant_it->second.speculation.find(signature_hash);
-  if (history_it == tenant_it->second.speculation.end()) {
-    return true;
-  }
-  const auto [tasks, aborts] = history_it->second;
-  if (tasks < config_.engine.fault.governor_min_tasks) {
-    return true;
-  }
-  return static_cast<double>(aborts) < threshold * static_cast<double>(tasks);
-}
-
-void EngineService::TenantObserve(const std::string& tenant, uint64_t signature_hash,
-                                  int tasks, int aborts) {
-  std::lock_guard<std::mutex> lock(tenants_mu_);
-  auto& entry = tenants_[tenant].speculation[signature_hash];
-  entry.first += tasks;
-  entry.second += aborts;
+SpeculationGovernor& EngineService::TenantGovernor(const std::string& tenant,
+                                                   uint64_t signature_hash) {
+  const FaultToleranceOptions& fault = config_.engine.fault;
+  return tenants_[tenant]
+      .speculation
+      .try_emplace(signature_hash, fault.governor_abort_threshold, fault.governor_min_tasks)
+      .first->second;
 }
 
 MetricsRegistry EngineService::metrics() const {

@@ -28,8 +28,8 @@
 //     merged trace, when tracing) before each body runs, so JobResult.stats
 //     is this job's delta; the deltas also accumulate into the tenant's
 //     MetricsRegistry, surfaced namespaced ("tenant.<id>.*") by metrics().
-//   * Speculation is governed per tenant per SER: the service keeps an
-//     abort-rate history keyed by (tenant, signature hash) and installs a
+//   * Speculation is governed per tenant per SER: the service keeps one
+//     SpeculationGovernor per (tenant, signature hash) and installs a
 //     SpeculationOracle on the slot's core before each job. The pooled
 //     cores run with their own engine-wide governor disabled — otherwise
 //     one tenant's hostile inputs would flip speculation off for everyone.
@@ -194,16 +194,17 @@ class EngineService {
   struct TenantState {
     MetricsRegistry registry;
     int64_t jobs_completed = 0;
-    // signature hash -> (speculative tasks, aborts): the per-tenant-per-SER
-    // generalization of SpeculationGovernor's engine-wide counters.
-    std::unordered_map<uint64_t, std::pair<int64_t, int64_t>> speculation;
+    // signature hash -> that SER's abort-rate history for this tenant: the
+    // engine's SpeculationGovernor rule, applied per tenant and per SER.
+    std::unordered_map<uint64_t, SpeculationGovernor> speculation;
   };
 
   void DispatchLoop(EngineSlot* slot);
   void RunOne(EngineSlot* slot, QueuedJob* job);
   void InstallOracle(EngineSlot* slot, const std::string& tenant);
-  bool TenantShouldSpeculate(const std::string& tenant, uint64_t signature_hash) const;
-  void TenantObserve(const std::string& tenant, uint64_t signature_hash, int tasks, int aborts);
+  // The tenant's governor for one SER, created on first use. Requires
+  // tenants_mu_.
+  SpeculationGovernor& TenantGovernor(const std::string& tenant, uint64_t signature_hash);
   // Wires (or re-wires, after a rebuild) a fresh core and its front ends
   // into `slot`.
   void BuildSlotEngines(EngineSlot* slot, int index);

@@ -470,36 +470,53 @@ TEST(SpeculationGovernorTest, BelowThresholdKeepsSpeculating) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultToleranceHadoopTest, MapFaultsRecoveredIdenticallyAcrossWorkerCounts) {
-  std::vector<uint8_t> reference;
-  EngineStats reference_stats;
-  for (int workers : kWorkerCounts) {
-    HadoopConfig config = HadoopWith(workers);
-    config.engine.fault.max_task_attempts = 2;
-    HadoopJob job(config);
+  std::vector<uint8_t> clean;
+  {
+    HadoopJob job(HadoopWith(1));
     DatasetPtr in = job.MakeInput(800);
-    const int64_t base = job.engine.next_task_ordinal();
-    job.engine.fault_plan().InjectException(base + 1);  // map task 1, attempt 1 only
-    job.engine.fault_plan().AbortTask(base + 2);        // map task 2, every attempt
-    DatasetPtr out = job.engine.RunJob(in, job.udfs, job.explode, job.pair,
-                                       KeySpec{job.get_key, false}, job.sum_values,
-                                       job.sum_values);
-    EXPECT_EQ(out->TotalRecords(), 20);
-    const EngineStats& stats = job.engine.stats();
-    EXPECT_EQ(stats.retries, 1) << "workers=" << workers;
-    EXPECT_EQ(stats.aborts, 1) << "workers=" << workers;
-    std::vector<uint8_t> bytes = DatasetBytes(out);
-    if (workers == 1) {
-      reference = bytes;
-      reference_stats = stats;
-    } else {
-      EXPECT_EQ(bytes, reference) << "workers=" << workers;
-      EXPECT_EQ(stats.tasks_run, reference_stats.tasks_run);
-      EXPECT_EQ(stats.map_tasks, reference_stats.map_tasks);
-      EXPECT_EQ(stats.reduce_tasks, reference_stats.reduce_tasks);
-      EXPECT_EQ(stats.spills, reference_stats.spills);
-      EXPECT_EQ(stats.fast_path_commits, reference_stats.fast_path_commits);
-      EXPECT_EQ(stats.shuffle_bytes, reference_stats.shuffle_bytes);
-      EXPECT_EQ(stats.combine_calls, reference_stats.combine_calls);
+    clean = DatasetBytes(job.engine.RunJob(in, job.udfs, job.explode, job.pair,
+                                           KeySpec{job.get_key, false}, job.sum_values,
+                                           job.sum_values));
+  }
+  // Second input: reducer 0 (its ordinal follows the map tasks') is forced to
+  // abort too. A fold task's forced abort fires at fold entry, and the whole
+  // reducer task re-runs on the slow path.
+  for (bool abort_reducer : {false, true}) {
+    std::vector<uint8_t> reference;
+    EngineStats reference_stats;
+    for (int workers : kWorkerCounts) {
+      HadoopConfig config = HadoopWith(workers);
+      config.engine.fault.max_task_attempts = 2;
+      HadoopJob job(config);
+      DatasetPtr in = job.MakeInput(800);
+      const int64_t base = job.engine.next_task_ordinal();
+      job.engine.fault_plan().InjectException(base + 1);  // map task 1, attempt 1 only
+      job.engine.fault_plan().AbortTask(base + 2);        // map task 2, every attempt
+      if (abort_reducer) {
+        job.engine.fault_plan().AbortTask(base + static_cast<int64_t>(in->native_parts.size()));
+      }
+      DatasetPtr out = job.engine.RunJob(in, job.udfs, job.explode, job.pair,
+                                         KeySpec{job.get_key, false}, job.sum_values,
+                                         job.sum_values);
+      EXPECT_EQ(out->TotalRecords(), 20);
+      const EngineStats& stats = job.engine.stats();
+      EXPECT_EQ(stats.retries, 1) << "workers=" << workers;
+      EXPECT_EQ(stats.aborts, abort_reducer ? 2 : 1) << "workers=" << workers;
+      std::vector<uint8_t> bytes = DatasetBytes(out);
+      EXPECT_EQ(bytes, clean) << "workers=" << workers << " abort_reducer=" << abort_reducer;
+      if (workers == 1) {
+        reference = bytes;
+        reference_stats = stats;
+      } else {
+        EXPECT_EQ(bytes, reference) << "workers=" << workers;
+        EXPECT_EQ(stats.tasks_run, reference_stats.tasks_run);
+        EXPECT_EQ(stats.map_tasks, reference_stats.map_tasks);
+        EXPECT_EQ(stats.reduce_tasks, reference_stats.reduce_tasks);
+        EXPECT_EQ(stats.spills, reference_stats.spills);
+        EXPECT_EQ(stats.fast_path_commits, reference_stats.fast_path_commits);
+        EXPECT_EQ(stats.shuffle_bytes, reference_stats.shuffle_bytes);
+        EXPECT_EQ(stats.combine_calls, reference_stats.combine_calls);
+      }
     }
   }
 }

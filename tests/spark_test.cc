@@ -9,6 +9,7 @@
 
 #include "src/dataflow/spark.h"
 #include "src/ir/builder.h"
+#include "tests/pair_job.h"
 
 namespace gerenuk {
 namespace {
@@ -26,8 +27,8 @@ struct PairWorkload {
   const Function* sum_values;     // reduce: (a, b) -> (a.key, a.v + b.v)
   const Function* add_broadcast;  // map with broadcast: value += bc.value
 
-  explicit PairWorkload(EngineMode mode, size_t heap_bytes = 48u << 20)
-      : engine(EngineConfig{{mode, heap_bytes, GcKind::kGenerational, 3}}) {
+  explicit PairWorkload(EngineMode mode, size_t heap_bytes = 48u << 20, int workers = 1)
+      : engine(EngineConfig{{mode, heap_bytes, GcKind::kGenerational, 3, workers}}) {
     KlassRegistry& reg = engine.heap().klasses();
     pair = reg.DefineClass("Pair", {
                                        {"key", FieldKind::kI64, nullptr, 0},
@@ -307,13 +308,31 @@ TEST(SparkEngineTest, ForcedAbortsStillProduceCorrectResults) {
         w.engine.ReduceByKey(in, w.udfs, {}, KeySpec{w.get_key, false}, w.sum_values);
     expected = w.Extract(out);
   }
-  PairWorkload w(EngineMode::kGerenuk);
-  DatasetPtr in = w.MakeInput(400);
-  w.engine.ResetMetrics();
-  w.engine.ForceAborts(2);  // two map tasks abort halfway
-  DatasetPtr out = w.engine.ReduceByKey(in, w.udfs, {}, KeySpec{w.get_key, false}, w.sum_values);
-  EXPECT_EQ(w.engine.stats().aborts, 2);
-  EXPECT_EQ(w.Extract(out), expected);
+  // Second input: the first reduce task (three map tasks precede it) is
+  // forced to abort too. A fold task's forced abort fires at fold entry, and
+  // the whole reduce task re-runs on the slow path.
+  for (bool abort_reduce : {false, true}) {
+    std::vector<uint8_t> reference;
+    for (int workers : kWorkerCounts) {
+      PairWorkload w(EngineMode::kGerenuk, 16u << 20, workers);
+      DatasetPtr in = w.MakeInput(400);
+      w.engine.ResetMetrics();
+      const int64_t base = w.engine.next_task_ordinal();
+      w.engine.ForceAborts(2);  // two map tasks abort halfway
+      if (abort_reduce) {
+        w.engine.fault_plan().AbortTask(base + 3);
+      }
+      DatasetPtr out =
+          w.engine.ReduceByKey(in, w.udfs, {}, KeySpec{w.get_key, false}, w.sum_values);
+      EXPECT_EQ(w.engine.stats().aborts, abort_reduce ? 3 : 2) << "workers=" << workers;
+      EXPECT_EQ(w.Extract(out), expected) << "workers=" << workers;
+      if (workers == 1) {
+        reference = DatasetBytes(out);
+      } else {
+        EXPECT_EQ(DatasetBytes(out), reference) << "workers=" << workers;
+      }
+    }
+  }
 }
 
 TEST(SparkEngineTest, PeakMemoryTracked) {

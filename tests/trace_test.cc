@@ -347,24 +347,26 @@ TEST(TraceOverflowTest, DroppedCounterSurfacesInEngineMetrics) {
 // ---------------------------------------------------------------------------
 // Abort nesting: the abort instant lands inside the fast-path span, and a
 // slow-path span follows on the same worker lane (same tid in the export).
+// Fold tasks (reduces) run the same speculation protocol as record-loop
+// tasks, so a reduce abort nests the same way.
 // ---------------------------------------------------------------------------
 
-TEST(TraceNestingTest, AbortInstantNestsInFastSpanThenSlowPathFollows) {
-  TraceRun run = RunFaultedPairJob(2, Trace::kDefaultBufferEvents);
-
+// Checks the one abort in `events`: it fired in task `task`, and its instant
+// lies inside a fast-path span on the same sink, followed by a slow-path span.
+void ExpectAbortNestsInFastSpanThenSlowPath(const std::vector<TraceEvent>& events, int task) {
   const TraceEvent* abort_ev = nullptr;
-  for (const TraceEvent& ev : run.events) {
+  for (const TraceEvent& ev : events) {
     if (ev.type == TraceEventType::kAbort) {
       ASSERT_EQ(abort_ev, nullptr) << "expected exactly one abort";
       abort_ev = &ev;
     }
   }
   ASSERT_NE(abort_ev, nullptr);
-  EXPECT_EQ(abort_ev->task, 1);  // the forced-abort task
+  EXPECT_EQ(abort_ev->task, task);  // the forced-abort task
 
   const TraceEvent* fast = nullptr;
   const TraceEvent* slow = nullptr;
-  for (const TraceEvent& ev : run.events) {
+  for (const TraceEvent& ev : events) {
     if (ev.task != abort_ev->task || ev.worker != abort_ev->worker) {
       continue;
     }
@@ -380,6 +382,36 @@ TEST(TraceNestingTest, AbortInstantNestsInFastSpanThenSlowPathFollows) {
   ASSERT_NE(slow, nullptr) << "no slow-path span after the abort";
   EXPECT_EQ(fast->worker, slow->worker);  // same tid lane in the export
   EXPECT_EQ(slow->attempt, fast->attempt);
+}
+
+TEST(TraceNestingTest, AbortInstantNestsInFastSpanThenSlowPathFollows) {
+  TraceRun run = RunFaultedPairJob(2, Trace::kDefaultBufferEvents);
+  ExpectAbortNestsInFastSpanThenSlowPath(run.events, 1);
+}
+
+TEST(TraceNestingTest, SparkReduceAbortNestsLikeARecordLoopAbort) {
+  EngineConfig config = SparkWith(2);
+  config.observability.trace = true;
+  SparkJob job(config);
+  DatasetPtr in = job.MakeInput(400);
+  // Reduce task 1: its ordinal follows one shuffle-map task per partition.
+  const int64_t map_tasks = static_cast<int64_t>(in->native_parts.size());
+  job.engine.fault_plan().AbortTask(job.engine.next_task_ordinal() + map_tasks + 1);
+  job.engine.ReduceByKey(in, job.udfs, {}, KeySpec{job.get_key, false}, job.sum_values);
+  ExpectAbortNestsInFastSpanThenSlowPath(job.engine.trace()->events(), 1);
+}
+
+TEST(TraceNestingTest, HadoopReduceAbortNestsLikeARecordLoopAbort) {
+  HadoopConfig config = HadoopWith(2);
+  config.engine.observability.trace = true;
+  HadoopJob job(config);
+  DatasetPtr in = job.MakeInput(300);
+  // Reducer 1: its ordinal follows one map task per input split.
+  const int64_t map_tasks = static_cast<int64_t>(in->native_parts.size());
+  job.engine.fault_plan().AbortTask(job.engine.next_task_ordinal() + map_tasks + 1);
+  job.engine.RunJob(in, job.udfs, job.explode, job.pair, KeySpec{job.get_key, false},
+                    job.sum_values, job.sum_values);
+  ExpectAbortNestsInFastSpanThenSlowPath(job.engine.trace()->events(), 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -114,6 +114,14 @@ inline void PrintPhaseRow(const std::string& label, const PhaseTimes& times) {
               times.Millis(Phase::kDeserialize));
 }
 
+// The wall clock of one program next to its PhaseTimes sum: phases cover
+// only the engine's instrumented work, so the gap is everything else (input
+// sourcing, driver-side collection, scheduling).
+inline void PrintWallRow(const std::string& label, double wall_ms, const PhaseTimes& times) {
+  std::printf("%-26s wall=%9.1fms  phases=%8.1fms (%3.0f%% of wall)\n", label.c_str(), wall_ms,
+              times.TotalMillis(), 100.0 * times.TotalMillis() / wall_ms);
+}
+
 inline void PrintSpeedup(const char* label, double baseline_ms, double gerenuk_ms) {
   std::printf("%-26s speedup = %.2fx (baseline %.1fms / gerenuk %.1fms)\n", label,
               baseline_ms / gerenuk_ms, baseline_ms, gerenuk_ms);

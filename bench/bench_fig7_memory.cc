@@ -59,23 +59,24 @@ void Run() {
       config.engine.execution.heap_bytes = 48u << 20;
       HadoopEngine engine(config);
       HadoopWorkloads workloads(engine);
-      DatasetPtr post_input = workloads.MakePostInput(posts);
-      DatasetPtr text_input = workloads.MakeTextInput(lines);
-      std::string name(job);
+      const std::string name(job);
+      const bool text_job = name == "IMC" || name == "TFC";
+      DatasetPtr input =
+          text_job ? workloads.MakeTextInput(lines) : workloads.MakePostInput(posts);
       if (name == "IUF") {
-        workloads.RunIuf(post_input);
+        workloads.RunIuf(input);
       } else if (name == "UAH") {
-        workloads.RunUah(post_input);
+        workloads.RunUah(input);
       } else if (name == "SPF") {
-        workloads.RunSpf(post_input);
+        workloads.RunSpf(input);
       } else if (name == "UED") {
-        workloads.RunUed(post_input);
+        workloads.RunUed(input);
       } else if (name == "CED") {
-        workloads.RunCed(post_input);
+        workloads.RunCed(input);
       } else if (name == "IMC") {
-        workloads.RunImc(text_input);
+        workloads.RunImc(input);
       } else {
-        workloads.RunTfc(text_input);
+        workloads.RunTfc(input);
       }
       // Peak over the whole run including the input dataset resident in the
       // engine-mode representation.

@@ -44,18 +44,30 @@ DatasetPtr MakeSourceDataset(Heap& heap, InlineSerializer& serde, MemoryTracker*
                              int64_t count,
                              const std::function<ObjRef(int64_t, RootScope&)>& make) {
   auto dataset = std::make_shared<Dataset>(heap, klass, num_partitions, tracker);
-  for (int64_t i = 0; i < count; ++i) {
-    RootScope scope(heap);
-    size_t slot = scope.Push(make(i, scope));
-    int p = static_cast<int>(i % num_partitions);
-    if (mode == EngineMode::kBaseline) {
-      dataset->heap_parts[static_cast<size_t>(p)].push_back(scope.Get(slot));
-    } else {
-      ByteBuffer record;
-      serde.WriteRecord(scope.Get(slot), klass, record);
-      dataset->native_parts[static_cast<size_t>(p)].AppendRecord(
-          record.data() + 4, static_cast<uint32_t>(record.size() - 4));
+  RootScope scope(heap);  // `make`'s slots, dropped after every record
+  if (mode == EngineMode::kBaseline) {
+    for (int64_t i = 0; i < count; ++i) {
+      ObjRef record = make(i, scope);
+      dataset->heap_parts[static_cast<size_t>(i % num_partitions)].push_back(record);
+      scope.Clear();
     }
+    return dataset;
+  }
+  // Gerenuk keeps only the record's bytes. Its objects are scratch: nothing
+  // allocates between `make` and serialization, so once the bytes are in the
+  // partition the objects are rewound off eden instead of left for the GC.
+  // A record whose objects escaped, moved or tenured is not rewound (the
+  // heap refuses) and stays ordinary garbage.
+  ByteBuffer bytes;
+  for (int64_t i = 0; i < count; ++i) {
+    Heap::ScratchMark mark = heap.MarkScratch();
+    ObjRef record = make(i, scope);
+    bytes.Clear();
+    serde.WriteRecord(record, klass, bytes);
+    dataset->native_parts[static_cast<size_t>(i % num_partitions)].AppendRecord(
+        bytes.data() + 4, static_cast<uint32_t>(bytes.size() - 4));
+    scope.Clear();
+    heap.RewindScratch(mark);
   }
   return dataset;
 }

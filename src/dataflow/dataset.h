@@ -38,8 +38,13 @@ class Dataset {
 
 using DatasetPtr = std::shared_ptr<Dataset>;
 
-// Builds a source dataset: `make` returns a heap object per index (rooted in
-// the passed scope during conversion); the record is stored per `mode`.
+// Builds a source dataset: `make` returns the heap object of record i and
+// roots its intermediate objects in the passed scope, whose slots last for
+// that one record. kBaseline keeps the object. kGerenuk keeps the object's
+// inline bytes and frees its object graph by a heap scratch rewind, so
+// `make` must not publish that graph: a heap store into an object from
+// before the record is detected and only costs the rewind, but a reference
+// kept in a root would dangle.
 DatasetPtr MakeSourceDataset(Heap& heap, InlineSerializer& serde, MemoryTracker* tracker,
                              EngineMode mode, const Klass* klass, int num_partitions,
                              int64_t count,

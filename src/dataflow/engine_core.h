@@ -106,7 +106,10 @@ class EngineCore {
   // §3.1 annotation: registers a top-level data type and its collection
   // type T[] with the layout analyzer.
   void RegisterDataType(const Klass* klass);
-  // A sealed source dataset of `count` records over num_partitions().
+  // A sealed source dataset of `count` records over num_partitions(),
+  // record i built by `make` (the MakeSourceDataset contract: in Gerenuk
+  // mode its objects are scratch, freed right after serialization, and must
+  // not be kept in any root).
   DatasetPtr Source(const Klass* klass, int64_t count,
                     const std::function<ObjRef(int64_t, RootScope&)>& make);
   void ResetMetrics();

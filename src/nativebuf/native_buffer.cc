@@ -1,8 +1,10 @@
 #include "src/nativebuf/native_buffer.h"
 
+#include <algorithm>
 #include <string>
 
-#include "src/support/fnv.h"
+#include "src/support/poison.h"
+#include "src/support/seal.h"
 
 namespace gerenuk {
 
@@ -19,6 +21,7 @@ NativePartition& NativePartition::operator=(NativePartition&& other) noexcept {
     chunks_ = std::move(other.chunks_);
     chunk_used_ = other.chunk_used_;
     chunk_capacity_ = other.chunk_capacity_;
+    next_chunk_size_ = other.next_chunk_size_;
     bytes_used_ = other.bytes_used_;
     records_ = std::move(other.records_);
     sealed_ = other.sealed_;
@@ -26,6 +29,7 @@ NativePartition& NativePartition::operator=(NativePartition&& other) noexcept {
     other.chunks_.clear();
     other.chunk_used_ = 0;
     other.chunk_capacity_ = 0;
+    other.next_chunk_size_ = kFirstChunkSize;
     other.bytes_used_ = 0;
     other.records_.clear();
     other.sealed_ = false;
@@ -41,6 +45,7 @@ void NativePartition::Release() {
   chunks_.clear();
   chunk_used_ = 0;
   chunk_capacity_ = 0;
+  next_chunk_size_ = kFirstChunkSize;
   bytes_used_ = 0;
   records_.clear();
   sealed_ = false;
@@ -49,8 +54,15 @@ void NativePartition::Release() {
 
 uint8_t* NativePartition::Allocate(size_t n) {
   if (chunk_capacity_ - chunk_used_ < n) {
-    size_t capacity = n > kChunkSize ? n : kChunkSize;
-    chunks_.push_back(std::make_unique<uint8_t[]>(capacity));
+    // Chunks start at the first request (at least kFirstChunkSize) and
+    // double up to kChunkSize, so a partition of a few records does not pay
+    // for 256 KB. A record never straddles chunks (a larger one gets a chunk
+    // of its own size), and chunks never move, so addresses stay stable.
+    // Bytes are written by the caller before anyone reads them: no zeroing.
+    size_t capacity = std::max(n, next_chunk_size_);
+    chunks_.push_back(std::make_unique_for_overwrite<uint8_t[]>(capacity));
+    PoisonUnwritten(chunks_.back().get(), capacity);
+    next_chunk_size_ = std::min(capacity * 2, kChunkSize);
     chunk_used_ = 0;
     chunk_capacity_ = capacity;
   }
@@ -86,14 +98,14 @@ uint32_t NativePartition::record_size(size_t i) const {
 }
 
 uint64_t NativePartition::ComputeChecksum() const {
-  // FNV-1a over each record's size prefix and body (shared helper so the
-  // shuffle service's spill-block seals use the identical hash). Linear in
-  // the bytes, paid once at commit and once per stage read — noise next to
-  // the interpreter's per-record cost.
-  Fnv1a h;
+  // The shared seal hash over each record's size prefix (one word) and body.
+  // It is paid at every commit and every stage read, on every record, so it
+  // hashes 8 bytes per step: on small records a byte-wise hash cost as much
+  // as building the partition.
+  SealHash h;
   for (size_t i = 0; i < records_.size(); ++i) {
     uint32_t size = record_size(i);
-    h.Update(&size, sizeof(size));
+    h.Word(size);
     h.Update(reinterpret_cast<const uint8_t*>(records_[i]), size);
   }
   return h.digest();

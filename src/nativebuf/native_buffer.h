@@ -8,10 +8,11 @@
 // field sits at addr - 4.
 //
 // Storage is chunked so record addresses stay stable while the partition
-// grows, and the whole partition is freed at once when the task finishes —
-// the paper's region-based memory management for data objects: "we can
-// safely release the buffer as a whole at the end of the task without even
-// needing to scan the items".
+// grows (chunks double from a small first one up to 256 KB and are never
+// zeroed: every byte is written before it is read), and the whole partition
+// is freed at once when the task finishes — the paper's region-based memory
+// management for data objects: "we can safely release the buffer as a whole
+// at the end of the task without even needing to scan the items".
 #ifndef SRC_NATIVEBUF_NATIVE_BUFFER_H_
 #define SRC_NATIVEBUF_NATIVE_BUFFER_H_
 
@@ -62,9 +63,10 @@ class NativePartition {
 
   // --- Integrity (see DESIGN.md "Fault model & recovery") ---
   // A partition is sealed when its producer commits it: Seal records a
-  // checksum over every record's size and body. Consumers verify at the
-  // stage-input boundary; a mismatch means the bytes rotted after commit —
-  // an error no re-execution can repair. Appending unseals.
+  // checksum (SealHash, src/support/seal.h) over every record's size and
+  // body. Consumers verify at the stage-input boundary; a mismatch means the
+  // bytes rotted after commit — an error no re-execution can repair.
+  // Appending unseals.
   void Seal();
   bool sealed() const { return sealed_; }
   uint64_t checksum() const { return checksum_; }
@@ -86,6 +88,7 @@ class NativePartition {
   void Release();
 
  private:
+  static constexpr size_t kFirstChunkSize = 256;
   static constexpr size_t kChunkSize = 256 * 1024;
   uint8_t* Allocate(size_t n);
   uint64_t ComputeChecksum() const;
@@ -94,6 +97,7 @@ class NativePartition {
   std::vector<std::unique_ptr<uint8_t[]>> chunks_;
   size_t chunk_used_ = 0;       // bytes used in the last chunk
   size_t chunk_capacity_ = 0;   // capacity of the last chunk
+  size_t next_chunk_size_ = kFirstChunkSize;
   int64_t bytes_used_ = 0;
   std::vector<int64_t> records_;  // body addresses
   bool sealed_ = false;

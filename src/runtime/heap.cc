@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/support/poison.h"
 #include "src/support/trace.h"
 
 namespace gerenuk {
@@ -139,6 +140,7 @@ ObjRef Heap::AllocRaw(const Klass* klass, int64_t size, uint32_t aux) {
       }
     }
     if (obj == kNullRef) {
+      ++scratch_epoch_;  // outside eden: a rewind would not free it
       obj = TryBump(old_, size);
       if (obj == kNullRef) {
         obj = TryFreeList(size);
@@ -215,6 +217,11 @@ void Heap::BarrierStore(ObjRef obj, uint64_t slot, ObjRef value) {
         remembered_.push_back(obj);
       }
     }
+    // Counted on every escaping store, not on remembered-set growth: an old
+    // object that is already remembered does not enter the set again.
+    if (InScratch(value) && !InScratch(obj)) {
+      ++scratch_epoch_;
+    }
     return;
   }
   if (config_.gc == GcKind::kRegion) {
@@ -237,6 +244,23 @@ int64_t Heap::used_bytes() const {
     used += static_cast<int64_t>(region_.top - region_.start);
   }
   return used;
+}
+
+Heap::ScratchMark Heap::MarkScratch() {
+  scratch_floor_ = eden_.top;
+  return {eden_.top, scratch_epoch_};
+}
+
+bool Heap::RewindScratch(const ScratchMark& mark) {
+  scratch_floor_ = UINT64_MAX;
+  if (config_.gc != GcKind::kGenerational || mark.epoch != scratch_epoch_) {
+    return false;
+  }
+  GERENUK_CHECK(mark.top >= eden_.start && mark.top <= eden_.top);
+  PoisonUnwritten(base_ + mark.top, eden_.top - mark.top);
+  eden_.top = mark.top;
+  SyncMemoryTracker();
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -282,6 +306,7 @@ void Heap::EpochEnd() {
   watch.Start();
   in_gc_ = true;
   stats_.minor_gcs += 1;  // counted as a (cheap) region collection
+  ++scratch_epoch_;
 
   // Escape analysis at run time: everything reachable from outside the
   // region — via barrier-recorded slots or global roots — is copied out;
@@ -436,6 +461,7 @@ void Heap::MarkSweepCollect(uint64_t sweep_start, uint64_t sweep_end) {
   watch.Start();
   in_gc_ = true;
   stats_.major_gcs += 1;
+  ++scratch_epoch_;
 
   // kRegion: flush the epoch remembered set before sweeping. Recorded slots
   // are guaranteed valid only until the next collection (their containing
@@ -658,6 +684,7 @@ void Heap::MinorCollect() {
   watch.Start();
   in_gc_ = true;
   stats_.minor_gcs += 1;
+  ++scratch_epoch_;
 
   promoted_worklist_.clear();
   ForEachRoot(&Heap::ScavengeSlot);

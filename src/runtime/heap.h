@@ -132,6 +132,14 @@ class Heap {
     BoundsCheck(array, index);
     SetPrim<T>(array, k->ElementOffset(index), value);
   }
+  // Element storage of a primitive array, for whole-array copies: one klass
+  // lookup, and the caller bounds the copy by ArrayLength once, instead of a
+  // lookup and a bounds check per element.
+  uint8_t* PrimArrayData(ObjRef array) const {
+    const Klass* k = KlassOf(array);
+    GERENUK_CHECK(k->is_array() && k->element_kind() != FieldKind::kRef);
+    return base_ + array + k->elements_offset();
+  }
   ObjRef AGetRef(ObjRef array, int64_t index) const { return AGet<ObjRef>(array, index); }
   void ASetRef(ObjRef array, int64_t index, ObjRef value);
 
@@ -149,6 +157,24 @@ class Heap {
   void RemoveRootSlot(ObjRef* slot);
   void AddRootProvider(RootProvider* provider);
   void RemoveRootProvider(RootProvider* provider);
+
+  // ---- scratch objects (kGenerational only) ----
+  // Lifetime-based bulk free for objects a caller builds, reads and drops at
+  // a known point (a Source record before it is serialized): take a mark
+  // before building them, drop every root to them, then rewind. The rewind
+  // resets eden's bump pointer to the mark in O(1), no tracing. It refuses —
+  // returns false and leaves the objects as ordinary garbage — when anything
+  // since the mark could have made a scratch object reachable from outside
+  // the scratch range or moved it: a collection, a reference store from an
+  // object outside the range into it (old-to-young stores included), or an
+  // allocation that did not land in eden. References held in roots are not
+  // tracked; a caller must not keep one past the rewind.
+  struct ScratchMark {
+    uint64_t top = 0;
+    uint64_t epoch = 0;
+  };
+  ScratchMark MarkScratch();
+  bool RewindScratch(const ScratchMark& mark);
 
   // ---- Yak-like epochs (kRegion only) ----
   // Data-path allocations between EpochStart and EpochEnd land in the
@@ -265,6 +291,12 @@ class Heap {
   std::vector<ObjRef*> root_slots_;
   std::vector<RootProvider*> root_providers_;
   std::vector<ObjRef> remembered_;  // old objects that may hold young refs
+
+  // Scratch state. `scratch_floor_` is the active mark's eden top (no mark:
+  // UINT64_MAX); `scratch_epoch_` moves on every event that forbids a rewind.
+  uint64_t scratch_floor_ = UINT64_MAX;
+  uint64_t scratch_epoch_ = 0;
+  bool InScratch(ObjRef ref) const { return ref >= scratch_floor_ && eden_.Contains(ref); }
 
   // kRegion state.
   Space region_;

@@ -52,53 +52,22 @@ void InlineSerializer::WriteBody(ObjRef obj, const Klass* klass, ByteBuffer& out
   if (klass->is_array()) {
     int64_t len = heap_.ArrayLength(obj);
     out.WriteI32(static_cast<int32_t>(len));
-    switch (klass->element_kind()) {
-      case FieldKind::kBool:
-      case FieldKind::kI8:
-        for (int64_t i = 0; i < len; ++i) {
-          out.WriteU8(static_cast<uint8_t>(heap_.AGet<int8_t>(obj, i)));
-        }
-        break;
-      case FieldKind::kI16:
-      case FieldKind::kChar:
-        for (int64_t i = 0; i < len; ++i) {
-          out.WriteU16(static_cast<uint16_t>(heap_.AGet<int16_t>(obj, i)));
-        }
-        break;
-      case FieldKind::kI32:
-        for (int64_t i = 0; i < len; ++i) {
-          out.WriteI32(heap_.AGet<int32_t>(obj, i));
-        }
-        break;
-      case FieldKind::kF32:
-        for (int64_t i = 0; i < len; ++i) {
-          out.WriteF32(heap_.AGet<float>(obj, i));
-        }
-        break;
-      case FieldKind::kI64:
-        for (int64_t i = 0; i < len; ++i) {
-          out.WriteI64(heap_.AGet<int64_t>(obj, i));
-        }
-        break;
-      case FieldKind::kF64:
-        for (int64_t i = 0; i < len; ++i) {
-          out.WriteF64(heap_.AGet<double>(obj, i));
-        }
-        break;
-      case FieldKind::kRef: {
-        bool fixed = KlassHasFixedInlineSize(klass->element_klass());
-        for (int64_t i = 0; i < len; ++i) {
-          if (fixed) {
-            WriteBody(heap_.AGetRef(obj, i), klass->element_klass(), out, depth + 1);
-          } else {
-            size_t size_pos = out.size();
-            out.WriteU32(0);
-            size_t body_start = out.size();
-            WriteBody(heap_.AGetRef(obj, i), klass->element_klass(), out, depth + 1);
-            out.PatchU32(size_pos, static_cast<uint32_t>(out.size() - body_start));
-          }
-        }
-        break;
+    if (klass->element_kind() != FieldKind::kRef) {
+      // The inline element encoding is the heap's: one block copy.
+      out.WriteBytes(heap_.PrimArrayData(obj),
+                     static_cast<size_t>(len) * static_cast<size_t>(klass->element_size()));
+      return;
+    }
+    bool fixed = KlassHasFixedInlineSize(klass->element_klass());
+    for (int64_t i = 0; i < len; ++i) {
+      if (fixed) {
+        WriteBody(heap_.AGetRef(obj, i), klass->element_klass(), out, depth + 1);
+      } else {
+        size_t size_pos = out.size();
+        out.WriteU32(0);
+        size_t body_start = out.size();
+        WriteBody(heap_.AGetRef(obj, i), klass->element_klass(), out, depth + 1);
+        out.PatchU32(size_pos, static_cast<uint32_t>(out.size() - body_start));
       }
     }
     return;
@@ -145,50 +114,18 @@ ObjRef InlineSerializer::ReadBody(const Klass* klass, ByteReader& in) {
   if (klass->is_array()) {
     int64_t len = in.ReadI32();
     size_t arr_slot = scope.Push(heap_.AllocArray(klass, len));
-    switch (klass->element_kind()) {
-      case FieldKind::kBool:
-      case FieldKind::kI8:
-        for (int64_t i = 0; i < len; ++i) {
-          heap_.ASet<int8_t>(scope.Get(arr_slot), i, static_cast<int8_t>(in.ReadU8()));
-        }
-        break;
-      case FieldKind::kI16:
-      case FieldKind::kChar:
-        for (int64_t i = 0; i < len; ++i) {
-          heap_.ASet<int16_t>(scope.Get(arr_slot), i, static_cast<int16_t>(in.ReadU16()));
-        }
-        break;
-      case FieldKind::kI32:
-        for (int64_t i = 0; i < len; ++i) {
-          heap_.ASet<int32_t>(scope.Get(arr_slot), i, in.ReadI32());
-        }
-        break;
-      case FieldKind::kF32:
-        for (int64_t i = 0; i < len; ++i) {
-          heap_.ASet<float>(scope.Get(arr_slot), i, in.ReadF32());
-        }
-        break;
-      case FieldKind::kI64:
-        for (int64_t i = 0; i < len; ++i) {
-          heap_.ASet<int64_t>(scope.Get(arr_slot), i, in.ReadI64());
-        }
-        break;
-      case FieldKind::kF64:
-        for (int64_t i = 0; i < len; ++i) {
-          heap_.ASet<double>(scope.Get(arr_slot), i, in.ReadF64());
-        }
-        break;
-      case FieldKind::kRef: {
-        bool fixed = KlassHasFixedInlineSize(klass->element_klass());
-        for (int64_t i = 0; i < len; ++i) {
-          if (!fixed) {
-            in.ReadU32();  // per-element size prefix (used only for skipping)
-          }
-          ObjRef elem = ReadBody(klass->element_klass(), in);
-          heap_.ASetRef(scope.Get(arr_slot), i, elem);
-        }
-        break;
+    if (klass->element_kind() != FieldKind::kRef) {
+      in.ReadBytes(heap_.PrimArrayData(scope.Get(arr_slot)),
+                   static_cast<size_t>(len) * static_cast<size_t>(klass->element_size()));
+      return scope.Get(arr_slot);
+    }
+    bool fixed = KlassHasFixedInlineSize(klass->element_klass());
+    for (int64_t i = 0; i < len; ++i) {
+      if (!fixed) {
+        in.ReadU32();  // per-element size prefix (used only for skipping)
       }
+      ObjRef elem = ReadBody(klass->element_klass(), in);
+      heap_.ASetRef(scope.Get(arr_slot), i, elem);
     }
     return scope.Get(arr_slot);
   }

@@ -58,6 +58,11 @@ class WellKnown {
   const Klass* boxed_int_;
   const Klass* boxed_long_;
   const Klass* boxed_double_;
+  // Offsets of the `value` field of String and the boxes, looked up once.
+  int string_value_;
+  int boxed_int_value_;
+  int boxed_long_value_;
+  int boxed_double_value_;
 };
 
 }  // namespace gerenuk

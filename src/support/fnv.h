@@ -1,7 +1,6 @@
-// FNV-1a hashing, shared by every integrity seal in the repo: the
-// NativePartition commit checksum, the shuffle service's per-spill-block
-// seals, and the wire-format trailer. One implementation so a seal computed
-// by any producer verifies against any consumer.
+// FNV-1a hashing: the identity hash of a ProgramSignature's text. Integrity
+// seals over data bytes use the word-at-a-time SealHash (src/support/seal.h)
+// instead.
 #ifndef SRC_SUPPORT_FNV_H_
 #define SRC_SUPPORT_FNV_H_
 

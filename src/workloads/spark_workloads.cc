@@ -650,29 +650,66 @@ int64_t ReadI64Field(Heap& heap, ObjRef rec, const Klass* klass, const char* fie
 
 }  // namespace
 
-WorkloadResult SparkWorkloads::RunPageRank(const SyntheticGraph& graph, int iterations) {
+DatasetPtr SparkWorkloads::VertexLinksSource(const SyntheticGraph& graph) {
   Heap& heap = engine_.heap();
-  KlassRegistry& reg = heap.klasses();
-  const Klass* i64_array = reg.Find("i64[]");
-
-  DatasetPtr links =
-      engine_.Source(vertex_links, graph.num_vertices, [&](int64_t v, RootScope& scope) {
-        const auto& neighbors = graph.out_edges[static_cast<size_t>(v)];
-        size_t arr = scope.Push(heap.AllocArray(i64_array, neighbors.size()));
-        for (size_t i = 0; i < neighbors.size(); ++i) {
-          heap.ASet<int64_t>(scope.Get(arr), static_cast<int64_t>(i), neighbors[i]);
-        }
-        ObjRef rec = heap.AllocObject(vertex_links);
-        heap.SetPrim<int64_t>(rec, vertex_links->FindField("id")->offset, v);
-        heap.SetRef(rec, vertex_links->FindField("neighbors")->offset, scope.Get(arr));
-        return rec;
-      });
-  DatasetPtr ranks = engine_.Source(rank, graph.num_vertices, [&](int64_t v, RootScope&) {
-    ObjRef rec = heap.AllocObject(rank);
-    heap.SetPrim<int64_t>(rec, rank->FindField("id")->offset, v);
-    heap.SetPrim<double>(rec, rank->FindField("rank")->offset, 1.0);
+  const Klass* i64_array = heap.klasses().Find("i64[]");
+  const int id_off = vertex_links->FindField("id")->offset;
+  const int neighbors_off = vertex_links->FindField("neighbors")->offset;
+  return engine_.Source(vertex_links, graph.num_vertices, [&](int64_t v, RootScope& scope) {
+    const auto& neighbors = graph.out_edges[static_cast<size_t>(v)];
+    size_t arr = scope.Push(heap.AllocArray(i64_array, neighbors.size()));
+    for (size_t i = 0; i < neighbors.size(); ++i) {
+      heap.ASet<int64_t>(scope.Get(arr), static_cast<int64_t>(i), neighbors[i]);
+    }
+    ObjRef rec = heap.AllocObject(vertex_links);
+    heap.SetPrim<int64_t>(rec, id_off, v);
+    heap.SetRef(rec, neighbors_off, scope.Get(arr));
     return rec;
   });
+}
+
+DatasetPtr SparkWorkloads::RankSource(int64_t num_vertices, bool rank_is_id) {
+  Heap& heap = engine_.heap();
+  const int id_off = rank->FindField("id")->offset;
+  const int rank_off = rank->FindField("rank")->offset;
+  return engine_.Source(rank, num_vertices, [&](int64_t v, RootScope&) {
+    ObjRef rec = heap.AllocObject(rank);
+    heap.SetPrim<int64_t>(rec, id_off, v);
+    heap.SetPrim<double>(rec, rank_off, rank_is_id ? static_cast<double>(v) : 1.0);
+    return rec;
+  });
+}
+
+DatasetPtr SparkWorkloads::LabeledPointSource(const SyntheticLabeledPoints& data) {
+  Heap& heap = engine_.heap();
+  const Klass* f64_array = heap.klasses().Find("f64[]");
+  const int num_actives_off = dense_vector->FindField("numActives")->offset;
+  const int values_off = dense_vector->FindField("values")->offset;
+  const int label_off = labeled_point->FindField("label")->offset;
+  const int features_off = labeled_point->FindField("features")->offset;
+  return engine_.Source(
+      labeled_point, static_cast<int64_t>(data.features.size()),
+      [&](int64_t i, RootScope& scope) {
+        const auto& feature = data.features[static_cast<size_t>(i)];
+        size_t arr = scope.Push(heap.AllocArray(f64_array, feature.size()));
+        for (size_t d = 0; d < feature.size(); ++d) {
+          heap.ASet<double>(scope.Get(arr), static_cast<int64_t>(d), feature[d]);
+        }
+        size_t vec = scope.Push(heap.AllocObject(dense_vector));
+        heap.SetPrim<int32_t>(scope.Get(vec), num_actives_off,
+                              static_cast<int32_t>(feature.size()));
+        heap.SetRef(scope.Get(vec), values_off, scope.Get(arr));
+        ObjRef rec = heap.AllocObject(labeled_point);
+        heap.SetPrim<double>(rec, label_off, data.labels[static_cast<size_t>(i)]);
+        heap.SetRef(rec, features_off, scope.Get(vec));
+        return rec;
+      });
+}
+
+WorkloadResult SparkWorkloads::RunPageRank(const SyntheticGraph& graph, int iterations) {
+  Heap& heap = engine_.heap();
+  DatasetPtr links = VertexLinksSource(graph);
+  DatasetPtr ranks = RankSource(graph.num_vertices, false);
 
   engine_.ResetMetrics();
   for (int iter = 0; iter < iterations; ++iter) {
@@ -698,27 +735,9 @@ WorkloadResult SparkWorkloads::RunPageRank(const SyntheticGraph& graph, int iter
 WorkloadResult SparkWorkloads::RunConnectedComponents(const SyntheticGraph& graph,
                                                       int iterations) {
   Heap& heap = engine_.heap();
-  const Klass* i64_array = heap.klasses().Find("i64[]");
-
-  DatasetPtr links =
-      engine_.Source(vertex_links, graph.num_vertices, [&](int64_t v, RootScope& scope) {
-        const auto& neighbors = graph.out_edges[static_cast<size_t>(v)];
-        size_t arr = scope.Push(heap.AllocArray(i64_array, neighbors.size()));
-        for (size_t i = 0; i < neighbors.size(); ++i) {
-          heap.ASet<int64_t>(scope.Get(arr), static_cast<int64_t>(i), neighbors[i]);
-        }
-        ObjRef rec = heap.AllocObject(vertex_links);
-        heap.SetPrim<int64_t>(rec, vertex_links->FindField("id")->offset, v);
-        heap.SetRef(rec, vertex_links->FindField("neighbors")->offset, scope.Get(arr));
-        return rec;
-      });
+  DatasetPtr links = VertexLinksSource(graph);
   // Labels reuse the Rank record: rank == the current component label.
-  DatasetPtr labels = engine_.Source(rank, graph.num_vertices, [&](int64_t v, RootScope&) {
-    ObjRef rec = heap.AllocObject(rank);
-    heap.SetPrim<int64_t>(rec, rank->FindField("id")->offset, v);
-    heap.SetPrim<double>(rec, rank->FindField("rank")->offset, static_cast<double>(v));
-    return rec;
-  });
+  DatasetPtr labels = RankSource(graph.num_vertices, true);
 
   engine_.ResetMetrics();
   for (int iter = 0; iter < iterations; ++iter) {
@@ -744,6 +763,8 @@ WorkloadResult SparkWorkloads::RunKMeans(const SyntheticPoints& data, int k, int
   const Klass* f64_array = heap.klasses().Find("f64[]");
   int dim = data.dim;
 
+  const int num_actives_off = point->FindField("numActives")->offset;
+  const int values_off = point->FindField("values")->offset;
   DatasetPtr points = engine_.Source(
       point, static_cast<int64_t>(data.values.size()), [&](int64_t i, RootScope& scope) {
         const auto& value = data.values[static_cast<size_t>(i)];
@@ -752,9 +773,8 @@ WorkloadResult SparkWorkloads::RunKMeans(const SyntheticPoints& data, int k, int
           heap.ASet<double>(scope.Get(arr), static_cast<int64_t>(d), value[d]);
         }
         ObjRef rec = heap.AllocObject(point);
-        heap.SetPrim<int32_t>(rec, point->FindField("numActives")->offset,
-                              static_cast<int32_t>(value.size()));
-        heap.SetRef(rec, point->FindField("values")->offset, scope.Get(arr));
+        heap.SetPrim<int32_t>(rec, num_actives_off, static_cast<int32_t>(value.size()));
+        heap.SetRef(rec, values_off, scope.Get(arr));
         return rec;
       });
 
@@ -811,24 +831,7 @@ WorkloadResult SparkWorkloads::RunLogisticRegression(const SyntheticLabeledPoint
   const Klass* f64_array = heap.klasses().Find("f64[]");
   int dim = data.dim;
 
-  DatasetPtr points = engine_.Source(
-      labeled_point, static_cast<int64_t>(data.features.size()),
-      [&](int64_t i, RootScope& scope) {
-        const auto& feature = data.features[static_cast<size_t>(i)];
-        size_t arr = scope.Push(heap.AllocArray(f64_array, feature.size()));
-        for (size_t d = 0; d < feature.size(); ++d) {
-          heap.ASet<double>(scope.Get(arr), static_cast<int64_t>(d), feature[d]);
-        }
-        size_t vec = scope.Push(heap.AllocObject(dense_vector));
-        heap.SetPrim<int32_t>(scope.Get(vec), dense_vector->FindField("numActives")->offset,
-                              static_cast<int32_t>(feature.size()));
-        heap.SetRef(scope.Get(vec), dense_vector->FindField("values")->offset, scope.Get(arr));
-        ObjRef rec = heap.AllocObject(labeled_point);
-        heap.SetPrim<double>(rec, labeled_point->FindField("label")->offset,
-                             data.labels[static_cast<size_t>(i)]);
-        heap.SetRef(rec, labeled_point->FindField("features")->offset, scope.Get(vec));
-        return rec;
-      });
+  DatasetPtr points = LabeledPointSource(data);
 
   std::vector<double> w(static_cast<size_t>(dim), 0.0);
   engine_.ResetMetrics();
@@ -870,6 +873,12 @@ WorkloadResult SparkWorkloads::RunChiSquareSelector(const SyntheticLabeledPoints
   const Klass* f64_array = heap.klasses().Find("f64[]");
   const Klass* i32_array = heap.klasses().Find("i32[]");
 
+  const int num_actives_off = sparse_vector->FindField("numActives")->offset;
+  const int indices_off = sparse_vector->FindField("indices")->offset;
+  const int values_off = sparse_vector->FindField("values")->offset;
+  const int label_off = sparse_point->FindField("label")->offset;
+  const int features_off = sparse_point->FindField("features")->offset;
+
   // Sparsify: keep features with |x| > 0.8 (roughly half).
   DatasetPtr points = engine_.Source(
       sparse_point, static_cast<int64_t>(data.features.size()),
@@ -896,16 +905,13 @@ WorkloadResult SparkWorkloads::RunChiSquareSelector(const SyntheticLabeledPoints
           heap.ASet<double>(scope.Get(val_arr), static_cast<int64_t>(j), values[j]);
         }
         size_t vec = scope.Push(heap.AllocObject(sparse_vector));
-        heap.SetPrim<int32_t>(scope.Get(vec), sparse_vector->FindField("numActives")->offset,
+        heap.SetPrim<int32_t>(scope.Get(vec), num_actives_off,
                               static_cast<int32_t>(indices.size()));
-        heap.SetRef(scope.Get(vec), sparse_vector->FindField("indices")->offset,
-                    scope.Get(idx_arr));
-        heap.SetRef(scope.Get(vec), sparse_vector->FindField("values")->offset,
-                    scope.Get(val_arr));
+        heap.SetRef(scope.Get(vec), indices_off, scope.Get(idx_arr));
+        heap.SetRef(scope.Get(vec), values_off, scope.Get(val_arr));
         ObjRef rec = heap.AllocObject(sparse_point);
-        heap.SetPrim<double>(rec, sparse_point->FindField("label")->offset,
-                             data.labels[static_cast<size_t>(i)]);
-        heap.SetRef(rec, sparse_point->FindField("features")->offset, scope.Get(vec));
+        heap.SetPrim<double>(rec, label_off, data.labels[static_cast<size_t>(i)]);
+        heap.SetRef(rec, features_off, scope.Get(vec));
         return rec;
       });
 
@@ -955,24 +961,7 @@ WorkloadResult SparkWorkloads::RunGradientBoosting(const SyntheticLabeledPoints&
   const Klass* f64_array = heap.klasses().Find("f64[]");
   int dim = data.dim;
 
-  DatasetPtr points = engine_.Source(
-      labeled_point, static_cast<int64_t>(data.features.size()),
-      [&](int64_t i, RootScope& scope) {
-        const auto& feature = data.features[static_cast<size_t>(i)];
-        size_t arr = scope.Push(heap.AllocArray(f64_array, feature.size()));
-        for (size_t d = 0; d < feature.size(); ++d) {
-          heap.ASet<double>(scope.Get(arr), static_cast<int64_t>(d), feature[d]);
-        }
-        size_t vec = scope.Push(heap.AllocObject(dense_vector));
-        heap.SetPrim<int32_t>(scope.Get(vec), dense_vector->FindField("numActives")->offset,
-                              static_cast<int32_t>(feature.size()));
-        heap.SetRef(scope.Get(vec), dense_vector->FindField("values")->offset, scope.Get(arr));
-        ObjRef rec = heap.AllocObject(labeled_point);
-        heap.SetPrim<double>(rec, labeled_point->FindField("label")->offset,
-                             data.labels[static_cast<size_t>(i)]);
-        heap.SetRef(rec, labeled_point->FindField("features")->offset, scope.Get(vec));
-        return rec;
-      });
+  DatasetPtr points = LabeledPointSource(data);
 
   std::vector<double> stump_weights(static_cast<size_t>(dim), 0.0);
   engine_.ResetMetrics();
@@ -1017,11 +1006,12 @@ WorkloadResult SparkWorkloads::RunGradientBoosting(const SyntheticLabeledPoints&
 
 WorkloadResult SparkWorkloads::RunWordCount(const std::vector<std::string>& lines) {
   Heap& heap = engine_.heap();
+  const int text_off = line->FindField("text")->offset;
   DatasetPtr input = engine_.Source(
       line, static_cast<int64_t>(lines.size()), [&](int64_t i, RootScope& scope) {
         size_t s = scope.Push(engine_.wk().AllocString(lines[static_cast<size_t>(i)]));
         ObjRef rec = heap.AllocObject(line);
-        heap.SetRef(rec, line->FindField("text")->offset, scope.Get(s));
+        heap.SetRef(rec, text_off, scope.Get(s));
         return rec;
       });
   engine_.ResetMetrics();
@@ -1044,6 +1034,11 @@ WorkloadResult SparkWorkloads::RunAccountGrouping(const std::vector<SyntheticPos
   Heap& heap = engine_.heap();
   const Klass* i64_array = heap.klasses().Find("i64[]");
 
+  const int user_off = account->FindField("user")->offset;
+  const int size_off = account->FindField("size")->offset;
+  const int capacity_off = account->FindField("capacity")->offset;
+  const int lengths_off = account->FindField("lengths")->offset;
+
   // Each post arrives as a single-entry Account; grouping by user folds them
   // together, occasionally overflowing the initial capacity (the resize).
   DatasetPtr singles = engine_.Source(
@@ -1052,10 +1047,10 @@ WorkloadResult SparkWorkloads::RunAccountGrouping(const std::vector<SyntheticPos
         size_t arr = scope.Push(heap.AllocArray(i64_array, initial_capacity));
         heap.ASet<int64_t>(scope.Get(arr), 0, static_cast<int64_t>(post.text.size()));
         ObjRef rec = heap.AllocObject(account);
-        heap.SetPrim<int64_t>(rec, account->FindField("user")->offset, post.user_id);
-        heap.SetPrim<int64_t>(rec, account->FindField("size")->offset, 1);
-        heap.SetPrim<int64_t>(rec, account->FindField("capacity")->offset, initial_capacity);
-        heap.SetRef(rec, account->FindField("lengths")->offset, scope.Get(arr));
+        heap.SetPrim<int64_t>(rec, user_off, post.user_id);
+        heap.SetPrim<int64_t>(rec, size_off, 1);
+        heap.SetPrim<int64_t>(rec, capacity_off, initial_capacity);
+        heap.SetRef(rec, lengths_off, scope.Get(arr));
         return rec;
       });
 

@@ -71,6 +71,10 @@ class SparkWorkloads {
  private:
   void DefineTypes();
   void BuildUdfs();
+  // Sources shared by several programs.
+  DatasetPtr VertexLinksSource(const SyntheticGraph& graph);
+  DatasetPtr RankSource(int64_t num_vertices, bool rank_is_id);  // rank = 1.0 or the id
+  DatasetPtr LabeledPointSource(const SyntheticLabeledPoints& data);
 
   SparkEngine& engine_;
   SerProgram udfs_;

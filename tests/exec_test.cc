@@ -5,6 +5,8 @@
 // path (invariant 4).
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include <vector>
 
 #include "src/analysis/layout.h"
@@ -194,6 +196,32 @@ TEST(NativePartitionTest, AddressesStableAcrossGrowth) {
     p.AppendRecord(rec.data(), static_cast<uint32_t>(rec.size()));
   }
   EXPECT_EQ(*reinterpret_cast<const uint8_t*>(first), 42);
+}
+
+TEST(NativePartitionTest, AddressesAndBytesStableAcrossChunkGrowth) {
+  // Small records walk the doubling chunk sizes; records of 300 KB and 1 MB
+  // (larger than any regular chunk) get chunks of their own. Every record
+  // keeps its address and bytes while the partition grows around it.
+  NativePartition p;
+  std::vector<int64_t> addrs;
+  std::vector<std::vector<uint8_t>> bodies;
+  for (int i = 0; i < 3000; ++i) {
+    size_t size = i == 700 ? (300u << 10) : i == 2000 ? (1u << 20) : static_cast<size_t>(i % 97);
+    std::vector<uint8_t> body(size);
+    for (size_t j = 0; j < size; ++j) {
+      body[j] = static_cast<uint8_t>(i * 31 + j);
+    }
+    addrs.push_back(p.AppendRecord(body.data(), static_cast<uint32_t>(size)));
+    bodies.push_back(std::move(body));
+  }
+  ASSERT_EQ(p.record_count(), bodies.size());
+  for (size_t i = 0; i < bodies.size(); ++i) {
+    ASSERT_EQ(p.record_addr(i), addrs[i]);
+    ASSERT_EQ(p.record_size(i), bodies[i].size());
+    ASSERT_EQ(0, std::memcmp(reinterpret_cast<const void*>(addrs[i]), bodies[i].data(),
+                             bodies[i].size()))
+        << "record " << i;
+  }
 }
 
 TEST(NativePartitionTest, TrackerSeesAllocationAndRelease) {

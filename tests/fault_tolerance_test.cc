@@ -75,6 +75,66 @@ TEST(NativePartitionIntegrityTest, WireFormatCarriesTheSeal) {
   EXPECT_FALSE(parsed.VerifyChecksum());
 }
 
+// A sealed partition of ~4 KB: records of 0..63 bytes, so every word-tail
+// length of the seal hash occurs.
+NativePartition SealedFourKilobytePartition() {
+  NativePartition part;
+  std::vector<uint8_t> body;
+  for (int r = 0; part.bytes_used() < 4096; ++r) {
+    body.resize(static_cast<size_t>(r * 7 % 64));
+    for (size_t i = 0; i < body.size(); ++i) {
+      body[i] = static_cast<uint8_t>(r * 131 + i * 17);
+    }
+    part.AppendRecord(body.data(), static_cast<uint32_t>(body.size()));
+  }
+  part.Seal();
+  return part;
+}
+
+TEST(NativePartitionIntegrityTest, EverySingleBitFlipOfABodyFailsTheSeal) {
+  NativePartition part = SealedFourKilobytePartition();
+  ASSERT_TRUE(part.VerifyChecksum());
+  int64_t flips = 0;
+  for (size_t r = 0; r < part.record_count(); ++r) {
+    uint8_t* body = reinterpret_cast<uint8_t*>(part.record_addr(r));
+    for (uint32_t i = 0; i < part.record_size(r); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        body[i] ^= static_cast<uint8_t>(1u << bit);
+        ASSERT_FALSE(part.VerifyChecksum()) << "record " << r << " byte " << i << " bit " << bit;
+        body[i] ^= static_cast<uint8_t>(1u << bit);
+        ++flips;
+      }
+    }
+  }
+  EXPECT_GT(flips, 8 * 3000);
+  EXPECT_TRUE(part.VerifyChecksum());
+}
+
+TEST(NativePartitionIntegrityTest, EverySingleBitFlipOnTheWireFailsClosed) {
+  // Size prefixes, count and trailer included: each flip either breaks the
+  // structure (WireFormatError) or parses into a partition whose seal fails.
+  NativePartition part = SealedFourKilobytePartition();
+  ByteBuffer wire;
+  part.SerializeTo(wire);
+  std::vector<uint8_t> bytes = wire.bytes();
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      bytes[i] ^= static_cast<uint8_t>(1u << bit);
+      ByteReader reader(bytes.data(), bytes.size());
+      bool rejected = false;
+      try {
+        rejected = !NativePartition::Parse(reader).VerifyChecksum();
+      } catch (const WireFormatError&) {
+        rejected = true;
+      }
+      ASSERT_TRUE(rejected) << "wire byte " << i << " bit " << bit;
+      bytes[i] ^= static_cast<uint8_t>(1u << bit);
+    }
+  }
+  ByteReader reader(bytes.data(), bytes.size());
+  EXPECT_TRUE(NativePartition::Parse(reader).VerifyChecksum());
+}
+
 TEST(NativePartitionIntegrityTest, UnsealedPartitionChecksumsOnTheWire) {
   // Writers that never sealed still emit a valid trailing checksum, so the
   // receiving side always gets a verifiable partition.

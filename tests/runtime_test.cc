@@ -401,6 +401,113 @@ TEST(GenerationalHeapTest, GcTimeIsChargedToPhase) {
   EXPECT_EQ(times.Get(Phase::kGc), heap.stats().gc_nanos);
 }
 
+// ---------------------------------------------------------------------------
+// Scratch mark/rewind
+// ---------------------------------------------------------------------------
+
+struct ScratchHeap {
+  Heap heap;
+  const Klass* box;
+  int v_off;
+  int r_off;
+  std::vector<ObjRef> roots;
+
+  static HeapConfig Config(GcKind gc) {
+    HeapConfig config;
+    config.capacity_bytes = 4u << 20;
+    config.gc = gc;
+    return config;
+  }
+
+  explicit ScratchHeap(GcKind gc = GcKind::kGenerational) : heap(Config(gc)) {
+    box = heap.klasses().DefineClass("Box", {
+                                                {"v", FieldKind::kI64, nullptr, 0},
+                                                {"r", FieldKind::kRef, nullptr, 0},
+                                            });
+    v_off = box->FindField("v")->offset;
+    r_off = box->FindField("r")->offset;
+    heap.AddRootVector(&roots);
+  }
+  ~ScratchHeap() { heap.RemoveRootVector(&roots); }
+
+  // Two linked scratch boxes, the second holding `v`; returns the first.
+  ObjRef BuildPair(int64_t v) {
+    ObjRef inner = heap.AllocObject(box);
+    heap.SetPrim<int64_t>(inner, v_off, v);
+    roots.push_back(inner);
+    ObjRef outer = heap.AllocObject(box);
+    heap.SetRef(outer, r_off, roots.back());
+    roots.pop_back();
+    return outer;
+  }
+};
+
+TEST(ScratchHeapTest, RewindFreesEverythingSinceTheMark) {
+  ScratchHeap s;
+  s.roots.push_back(s.heap.AllocObject(s.box));  // live before the mark
+  const int64_t used = s.heap.used_bytes();
+  for (int i = 0; i < 1000; ++i) {
+    Heap::ScratchMark mark = s.heap.MarkScratch();
+    s.BuildPair(i);
+    ASSERT_TRUE(s.heap.RewindScratch(mark)) << i;
+    ASSERT_EQ(s.heap.used_bytes(), used);
+  }
+  EXPECT_EQ(s.heap.stats().minor_gcs + s.heap.stats().major_gcs, 0);
+  // Rewound bytes (0xA5-poisoned under ASan) come back zeroed.
+  ObjRef fresh = s.heap.AllocObject(s.box);
+  EXPECT_EQ(s.heap.GetPrim<int64_t>(fresh, s.v_off), 0);
+  EXPECT_EQ(s.heap.GetRef(fresh, s.r_off), kNullRef);
+}
+
+TEST(ScratchHeapTest, StoreIntoAnObjectFromBeforeTheMarkForbidsRewind) {
+  ScratchHeap s;
+  s.roots.push_back(s.heap.AllocObject(s.box));  // young, but older than the mark
+  Heap::ScratchMark mark = s.heap.MarkScratch();
+  ObjRef pair = s.BuildPair(7);
+  s.heap.SetRef(s.roots[0], s.r_off, pair);
+  EXPECT_FALSE(s.heap.RewindScratch(mark));
+  s.heap.CollectNow();
+  ObjRef outer = s.heap.GetRef(s.roots[0], s.r_off);
+  EXPECT_EQ(s.heap.GetPrim<int64_t>(s.heap.GetRef(outer, s.r_off), s.v_off), 7);
+}
+
+TEST(ScratchHeapTest, StoreIntoAnAlreadyRememberedOldObjectForbidsRewind) {
+  ScratchHeap s;
+  s.roots.push_back(s.heap.AllocObject(s.box));
+  s.heap.CollectNow();
+  s.heap.CollectNow();  // promoted: the holder is in the old generation
+  ASSERT_GT(s.heap.stats().promoted_bytes, 0);
+  s.heap.SetRef(s.roots[0], s.r_off, s.heap.AllocObject(s.box));  // now remembered
+  Heap::ScratchMark mark = s.heap.MarkScratch();
+  s.heap.SetRef(s.roots[0], s.r_off, s.BuildPair(9));  // no new remembered-set entry
+  EXPECT_FALSE(s.heap.RewindScratch(mark));
+  s.heap.CollectNow();
+  ObjRef outer = s.heap.GetRef(s.roots[0], s.r_off);
+  EXPECT_EQ(s.heap.GetPrim<int64_t>(s.heap.GetRef(outer, s.r_off), s.v_off), 9);
+}
+
+TEST(ScratchHeapTest, CollectionOrTenuredAllocationForbidsRewind) {
+  ScratchHeap s;
+  Heap::ScratchMark mark = s.heap.MarkScratch();
+  s.BuildPair(1);
+  s.heap.CollectNow();
+  EXPECT_FALSE(s.heap.RewindScratch(mark));
+
+  const Klass* bytes = s.heap.klasses().DefineArray(FieldKind::kI8);
+  mark = s.heap.MarkScratch();
+  s.heap.AllocArray(bytes, 1 << 20);  // larger than eden/4: tenured at birth
+  EXPECT_FALSE(s.heap.RewindScratch(mark));
+}
+
+TEST(ScratchHeapTest, OnlyTheGenerationalHeapRewinds) {
+  ScratchHeap s(GcKind::kMarkSweep);
+  const int64_t used = s.heap.used_bytes();
+  Heap::ScratchMark mark = s.heap.MarkScratch();
+  s.BuildPair(3);
+  EXPECT_FALSE(s.heap.RewindScratch(mark));
+  EXPECT_GT(s.heap.used_bytes(), used);
+}
+
 TEST(MarkSweepHeapTest, FreeListReuse) {
   HeapConfig config;
   config.capacity_bytes = 1 << 20;

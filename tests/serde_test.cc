@@ -3,6 +3,7 @@
 // accounting (object-based vs inlined representation of LabeledPoint[3]).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/runtime/heap.h"
@@ -379,6 +380,126 @@ TEST(InlineSerializerTest, HeapAndInlineAgreeAfterCrossRoundTrip) {
   ByteBuffer kryo2;
   heap_serde.Serialize(scope.Get(rebuilt), types.labeled_point, kryo2);
   EXPECT_EQ(kryo1.bytes(), kryo2.bytes());
+}
+
+// The element-wise array encoding the inline serializer is specified by:
+// [len:i32] then every element through the typed ByteBuffer writer.
+void ReferenceWriteArrayRecord(Heap& heap, ObjRef arr, FieldKind kind, ByteBuffer& out) {
+  ByteBuffer body;
+  int64_t len = heap.ArrayLength(arr);
+  body.WriteI32(static_cast<int32_t>(len));
+  for (int64_t i = 0; i < len; ++i) {
+    switch (kind) {
+      case FieldKind::kBool:
+      case FieldKind::kI8:
+        body.WriteU8(static_cast<uint8_t>(heap.AGet<int8_t>(arr, i)));
+        break;
+      case FieldKind::kI16:
+      case FieldKind::kChar:
+        body.WriteU16(static_cast<uint16_t>(heap.AGet<int16_t>(arr, i)));
+        break;
+      case FieldKind::kI32:
+        body.WriteI32(heap.AGet<int32_t>(arr, i));
+        break;
+      case FieldKind::kF32:
+        body.WriteF32(heap.AGet<float>(arr, i));
+        break;
+      case FieldKind::kI64:
+        body.WriteI64(heap.AGet<int64_t>(arr, i));
+        break;
+      case FieldKind::kF64:
+        body.WriteF64(heap.AGet<double>(arr, i));
+        break;
+      case FieldKind::kRef:
+        FAIL() << "primitive arrays only";
+    }
+  }
+  out.WriteU32(static_cast<uint32_t>(body.size()));
+  out.WriteBytes(body.data(), body.size());
+}
+
+// Sets element i of a primitive array from a deterministic 64-bit pattern.
+void SetPatternElement(Heap& heap, ObjRef arr, FieldKind kind, int64_t i, uint64_t bits) {
+  switch (kind) {
+    case FieldKind::kBool:
+      heap.ASet<int8_t>(arr, i, static_cast<int8_t>(bits & 1));
+      break;
+    case FieldKind::kI8:
+      heap.ASet<int8_t>(arr, i, static_cast<int8_t>(bits));
+      break;
+    case FieldKind::kI16:
+    case FieldKind::kChar:
+      heap.ASet<int16_t>(arr, i, static_cast<int16_t>(bits));
+      break;
+    case FieldKind::kI32:
+      heap.ASet<int32_t>(arr, i, static_cast<int32_t>(bits));
+      break;
+    case FieldKind::kF32:
+      heap.ASet<float>(arr, i, static_cast<float>(static_cast<int32_t>(bits)) / 7.0f);
+      break;
+    case FieldKind::kI64:
+      heap.ASet<int64_t>(arr, i, static_cast<int64_t>(bits));
+      break;
+    case FieldKind::kF64:
+      heap.ASet<double>(arr, i, static_cast<double>(static_cast<int64_t>(bits)) / 3.0);
+      break;
+    case FieldKind::kRef:
+      break;
+  }
+}
+
+TEST(InlineSerializerTest, PrimitiveArrayBlockCopyMatchesElementWiseReference) {
+  Heap heap(TestConfig());
+  RootScope scope(heap);
+  InlineSerializer inline_serde(heap);
+  Rng rng(17);
+  for (FieldKind kind : {FieldKind::kBool, FieldKind::kI8, FieldKind::kI16, FieldKind::kChar,
+                         FieldKind::kI32, FieldKind::kF32, FieldKind::kI64, FieldKind::kF64}) {
+    const Klass* array_klass = heap.klasses().DefineArray(kind);
+    for (int64_t len : {0, 1, 3, 8, 33}) {
+      size_t arr = scope.Push(heap.AllocArray(array_klass, len));
+      for (int64_t i = 0; i < len; ++i) {
+        SetPatternElement(heap, scope.Get(arr), kind, i, rng.NextU64());
+      }
+      ByteBuffer expected;
+      ReferenceWriteArrayRecord(heap, scope.Get(arr), kind, expected);
+      ByteBuffer written;
+      inline_serde.WriteRecord(scope.Get(arr), array_klass, written);
+      ASSERT_EQ(written.bytes(), expected.bytes()) << array_klass->name() << " len " << len;
+
+      ByteReader reader(written.bytes());
+      size_t copy = scope.Push(inline_serde.ReadRecord(array_klass, reader));
+      EXPECT_TRUE(reader.AtEnd());
+      ByteBuffer reread;
+      ReferenceWriteArrayRecord(heap, scope.Get(copy), kind, reread);
+      EXPECT_EQ(reread.bytes(), expected.bytes()) << array_klass->name() << " len " << len;
+    }
+  }
+}
+
+TEST(InlineSerializerTest, StringBlockCopyMatchesElementWiseReference) {
+  Heap heap(TestConfig());
+  WellKnown wk(heap);
+  RootScope scope(heap);
+  InlineSerializer inline_serde(heap);
+  const int value_off = wk.string_klass()->FindField("value")->offset;
+  for (std::string text : {std::string(), std::string("x"), std::string("hello, gerenuk"),
+                           std::string("\0\xff\x80 bytes", 10)}) {
+    size_t str = scope.Push(wk.AllocString(text));
+    ObjRef chars = heap.GetRef(scope.Get(str), value_off);
+    for (size_t i = 0; i < text.size(); ++i) {
+      ASSERT_EQ(heap.AGet<int8_t>(chars, static_cast<int64_t>(i)),
+                static_cast<int8_t>(text[i]));
+    }
+    EXPECT_EQ(wk.GetString(scope.Get(str)), text);
+    ByteBuffer expected;
+    ReferenceWriteArrayRecord(heap, chars, FieldKind::kI8, expected);
+    ByteBuffer written;
+    inline_serde.WriteRecord(scope.Get(str), wk.string_klass(), written);
+    EXPECT_EQ(written.bytes(), expected.bytes()) << text;
+    ByteReader reader(written.bytes());
+    EXPECT_EQ(wk.GetString(inline_serde.ReadRecord(wk.string_klass(), reader)), text);
+  }
 }
 
 }  // namespace

@@ -343,5 +343,85 @@ TEST(SparkEngineTest, PeakMemoryTracked) {
   EXPECT_GT(w.engine.peak_memory_bytes(), 0);
 }
 
+// ---------------------------------------------------------------------------
+// Gerenuk Source: record objects are scratch, rewound after serialization
+// ---------------------------------------------------------------------------
+
+std::vector<uint8_t> NativeBytes(const DatasetPtr& ds) {
+  ByteBuffer out;
+  for (const NativePartition& part : ds->native_parts) {
+    part.SerializeTo(out);
+  }
+  return out.bytes();
+}
+
+int64_t Collections(const Heap& heap) {
+  return heap.stats().minor_gcs + heap.stats().major_gcs;
+}
+
+TEST(SourceScratchTest, GerenukSourceLeavesNoHeapGarbage) {
+  PairWorkload w(EngineMode::kGerenuk);
+  Heap& heap = w.engine.heap();
+  const int64_t used = heap.used_bytes();
+  const int64_t collections = Collections(heap);
+  DatasetPtr in = w.MakeInput(20000);
+  EXPECT_EQ(in->TotalRecords(), 20000);
+  EXPECT_EQ(heap.used_bytes(), used);
+  EXPECT_EQ(Collections(heap), collections);
+  PairWorkload baseline(EngineMode::kBaseline);
+  EXPECT_EQ(w.Extract(in), baseline.Extract(baseline.MakeInput(20000)));
+}
+
+TEST(SourceScratchTest, RecordPublishedIntoAnOldHolderIsNotRewound) {
+  PairWorkload w(EngineMode::kGerenuk);
+  Heap& heap = w.engine.heap();
+  const int64_t n = 500;
+  RootScope holder_scope(heap);
+  size_t holder = holder_scope.Push(heap.AllocArray(w.pair_array, n));
+  heap.CollectNow();
+  heap.CollectNow();  // promoted: the holder now lives in the old generation
+  ASSERT_GT(heap.stats().promoted_bytes, 0);
+  const int64_t used = heap.used_bytes();
+
+  DatasetPtr in = w.engine.Source(w.pair, n, [&](int64_t i, RootScope& scope) {
+    ObjRef rec = w.MakePair(i, i * 0.5, scope);
+    heap.ASetRef(holder_scope.Get(holder), i, rec);
+    return rec;
+  });
+  EXPECT_GT(heap.used_bytes(), used);  // the published records were kept
+  heap.CollectNow();
+  const int key_off = w.pair->FindField("key")->offset;
+  const int value_off = w.pair->FindField("value")->offset;
+  for (int64_t i = 0; i < n; ++i) {
+    ObjRef rec = heap.AGetRef(holder_scope.Get(holder), i);
+    ASSERT_NE(rec, kNullRef);
+    EXPECT_EQ(heap.GetPrim<int64_t>(rec, key_off), i);
+    EXPECT_EQ(heap.GetPrim<double>(rec, value_off), i * 0.5);
+  }
+  EXPECT_EQ(in->TotalRecords(), n);
+}
+
+TEST(SourceScratchTest, CollectionInsideMakeKeepsThePartitionBytes) {
+  auto source = [](PairWorkload& w, bool collect) {
+    return w.engine.Source(w.pair, 3000, [&w, collect](int64_t i, RootScope& scope) {
+      Heap& heap = w.engine.heap();
+      size_t rec = scope.Push(heap.AllocObject(w.pair));
+      if (collect && i % 97 == 5) {
+        heap.CollectNow();  // moves the half-built record
+      }
+      heap.SetPrim<int64_t>(scope.Get(rec), w.pair->FindField("key")->offset, i % 13);
+      heap.SetPrim<double>(scope.Get(rec), w.pair->FindField("value")->offset, i * 0.25);
+      return scope.Get(rec);
+    });
+  };
+  PairWorkload quiet(EngineMode::kGerenuk);
+  PairWorkload collecting(EngineMode::kGerenuk);
+  const int64_t minor_before = collecting.engine.heap().stats().minor_gcs;
+  std::vector<uint8_t> expected = NativeBytes(source(quiet, false));
+  std::vector<uint8_t> got = NativeBytes(source(collecting, true));
+  EXPECT_GT(collecting.engine.heap().stats().minor_gcs, minor_before);
+  EXPECT_EQ(got, expected);
+}
+
 }  // namespace
 }  // namespace gerenuk

@@ -15,8 +15,9 @@ Dataset::Dataset(Heap& heap, const Klass* klass_in, int num_partitions, MemoryTr
 }
 
 Dataset::~Dataset() {
-  for (auto& part : heap_parts) {
-    heap_.RemoveRootVector(&part);
+  // Newest registration first: RemoveRootVector searches from the back.
+  for (auto it = heap_parts.rbegin(); it != heap_parts.rend(); ++it) {
+    heap_.RemoveRootVector(&*it);
   }
 }
 

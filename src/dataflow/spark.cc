@@ -368,7 +368,7 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
       // Aggregation map: key -> index into the (GC-rooted) value vector.
       std::unordered_map<ShuffleKey, size_t, ShuffleKey::Hash> agg;
       std::vector<ObjRef> values;
-      heap.AddRootVector(&values);
+      ScopedRootVector values_root(heap, &values);
       for (size_t task = 0; task < buckets.size(); ++task) {
         ByteReader reader(buckets[task][static_cast<size_t>(p)].bytes());
         for (int64_t r = 0; r < counts[task][static_cast<size_t>(p)]; ++r) {
@@ -394,7 +394,6 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
         }
       }
       out->heap_parts[static_cast<size_t>(p)] = values;
-      heap.RemoveRootVector(&values);
     });
     return out;
   }
@@ -461,10 +460,18 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
     bodies.slow = [&](Interpreter& interp) {
       std::unordered_map<ShuffleKey, size_t, ShuffleKey::Hash> agg;
       std::vector<ObjRef> values;
-      ctx.heap().AddRootVector(&values);
+      ScopedRootVector values_root(ctx.heap(), &values);
+      BucketReader bucket = shuffle->OpenBucket(p, &ctx.stats(), sink);
       int64_t records = 0;
-      shuffle->ForEachRecordInBucket(p, &ctx.stats(), sink, [&](int64_t addr, uint32_t size) {
-        records += 1;
+      for (const NativePartition* part : bucket.parts()) {
+        records += static_cast<int64_t>(part->record_count());
+      }
+      const int64_t oom = task.io.SlowPathOomRecord(records);
+      int64_t cursor = 0;
+      bucket.ForEachRecord([&](int64_t addr, uint32_t size) {
+        if (cursor++ == oom) {
+          task.io.ThrowSlowPathOom(records);
+        }
         ObjRef rec;
         {
           ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
@@ -492,7 +499,6 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
         ctx.serde().WriteRecord(ref, rec_klass, body);
         out_part.AppendRecord(body.data() + 4, static_cast<uint32_t>(body.size() - 4));
       }
-      ctx.heap().RemoveRootVector(&values);
       return records;
     };
     task.Run(exec, bodies);
@@ -532,7 +538,7 @@ DatasetPtr SparkEngine::JoinByKey(const DatasetPtr& left, const KeySpec& left_ke
       ComputePhaseScope compute(ctx.stats().times);
       std::unordered_map<ShuffleKey, std::vector<size_t>, ShuffleKey::Hash> table;
       std::vector<ObjRef> lvalues;
-      heap.AddRootVector(&lvalues);
+      ScopedRootVector lvalues_root(heap, &lvalues);
       for (size_t task = 0; task < lb.size(); ++task) {
         ByteReader lreader(lb[task][static_cast<size_t>(p)].bytes());
         for (int64_t r = 0; r < lc[task][static_cast<size_t>(p)]; ++r) {
@@ -572,7 +578,6 @@ DatasetPtr SparkEngine::JoinByKey(const DatasetPtr& left, const KeySpec& left_ke
           }
         }
       }
-      heap.RemoveRootVector(&lvalues);
     });
     return out;
   }

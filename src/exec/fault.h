@@ -19,7 +19,7 @@
 //     carries the fault kind, task ordinal, attempt number, and the input
 //     record count (for quarantine accounting).
 //   * RetryPolicy / QuarantinePolicy — how the scheduler responds: bounded
-//     attempts with deterministic backoff and a fresh WorkerContext per
+//     attempts with deterministic backoff and a reset worker heap per
 //     retry; per-task deadlines with straggler relaunch; fail-fast vs.
 //     skip-and-record for poisoned partitions.
 //   * SpeculationGovernor — a driver-side abort-rate tracker: past a
@@ -158,9 +158,9 @@ struct RetryPolicy {
   // Full backoff (exponential + jitter) before running `attempt` of `task`;
   // 0 for first attempts. Pure function of its arguments and the policy.
   int64_t BackoffMsFor(int64_t task, int attempt) const;
-  // Recycle the executing worker's context (fresh heap, serializer, roots)
-  // before a retry, so heap damage from the failed attempt — a mid-GC
-  // exception, simulated OOM — cannot leak into the next one.
+  // Recycle the executing worker's context (Heap::Reset) after a failed
+  // attempt and before its retry, so heap damage from the failed attempt —
+  // half-built objects, a simulated OOM — cannot leak into the next one.
   bool fresh_context_on_retry = true;
   // Per-attempt deadline; 0 disables. Cancellation is cooperative: the
   // attempt observes WorkerContext::cancelled() (the injected-delay loop

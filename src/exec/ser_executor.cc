@@ -20,6 +20,15 @@ struct HeapPhaseScope {
 
 }  // namespace
 
+int64_t TaskIo::SlowPathOomRecord(int64_t records) const {
+  return faults != nullptr ? faults->OomRecordFor(task_ordinal, records, attempt) : -1;
+}
+
+void TaskIo::ThrowSlowPathOom(int64_t records) const {
+  throw TaskError(TaskErrorKind::kOom, task_ordinal, attempt, records,
+                  "simulated heap exhaustion during re-execution");
+}
+
 void FastPath::AbortIfForcedAtEntry() const {
   if (io.faults != nullptr && io.faults->RecordFor(io.task_ordinal, 1, io.attempt) >= 0) {
     ThrowForcedAbort();
@@ -228,15 +237,13 @@ int64_t SerExecutor::RecordLoopSlow(TaskIo& io, PhaseTimes& times, Interpreter& 
 
   // Planned re-execution fault: at this record index the slow path runs out
   // of heap (the paper's executor would die and be relaunched; here the
-  // scheduler retries the whole task in a fresh WorkerContext).
+  // scheduler retries the whole task on a reset worker heap).
   const int64_t records = static_cast<int64_t>(io.input->record_count());
-  const int64_t oom =
-      io.faults != nullptr ? io.faults->OomRecordFor(io.task_ordinal, records, io.attempt) : -1;
+  const int64_t oom = io.SlowPathOomRecord(records);
   std::vector<Value> args = io.slow_args;
   for (cursor = 0; cursor < io.input->record_count(); ++cursor) {
-    if (oom >= 0 && static_cast<int64_t>(cursor) == oom) {
-      throw TaskError(TaskErrorKind::kOom, io.task_ordinal, io.attempt, records,
-                      "simulated heap exhaustion during re-execution");
+    if (static_cast<int64_t>(cursor) == oom) {
+      io.ThrowSlowPathOom(records);
     }
     if (io.refresh_slow_args) {
       io.refresh_slow_args(args);

@@ -95,6 +95,12 @@ struct TaskIo {
   // dispatch records per-opcode counts and sampled time into it.
   OpProfile* plan_profile = nullptr;
   int64_t plan_profile_stride = 0;
+
+  // Planned slow-path OOM: the record index (of `records` slow-path inputs)
+  // at which this attempt runs out of heap, or -1.
+  int64_t SlowPathOomRecord(int64_t records) const;
+  // Throws the TaskError{kOom} a slow path raises at that record.
+  [[noreturn]] void ThrowSlowPathOom(int64_t records) const;
 };
 
 // What a fast body sees of one speculation attempt: the task, the runner the

@@ -105,8 +105,8 @@ void TaskScheduler::RunAttempt(WorkerContext& ctx, int task, int attempt, bool f
   ThrowIfJobCancelled();
   if (fresh_context) {
     // The previous attempt's executor is terminated and a fresh one
-    // launched (§3.6, generalized to arbitrary faults): new heap, new
-    // serializer, no roots or half-built objects carried over.
+    // launched (§3.6, generalized to arbitrary faults): an empty heap, no
+    // roots or half-built objects carried over.
     ctx.Recycle();
   }
   const int64_t backoff_ms = policy_.BackoffMsFor(task, attempt);
@@ -190,6 +190,15 @@ bool TaskScheduler::HandleFailure(int task, int attempt, int slot, std::exceptio
   return false;
 }
 
+void TaskScheduler::CloseStageOnCancel() {
+  // Tasks not yet started (and queued retries) would only start, observe
+  // the same cancel and throw one by one. They become terminal now, with
+  // no error of their own; attempts in flight on other workers finish.
+  tasks_terminal_ += (num_tasks_ - next_fresh_) + static_cast<int>(retry_queue_.size());
+  next_fresh_ = num_tasks_;
+  retry_queue_.clear();
+}
+
 void TaskScheduler::RunTasksOn(WorkerContext& ctx, int slot) {
   for (;;) {
     Attempt work;
@@ -230,6 +239,16 @@ void TaskScheduler::RunTasksOn(WorkerContext& ctx, int slot) {
       tasks_terminal_ += 1;
       if (tasks_terminal_ == num_tasks_) {
         work_cv_.notify_all();
+        done_cv_.notify_all();
+      }
+    } catch (const JobCancelled&) {
+      // Thrown before the task body ran, so the heap is untouched and needs
+      // no recycle. The job is over: close the stage.
+      std::lock_guard<std::mutex> lock(mu_);
+      HandleFailure(work.task, work.attempt, slot, std::current_exception());
+      CloseStageOnCancel();
+      work_cv_.notify_all();
+      if (tasks_terminal_ == num_tasks_) {
         done_cv_.notify_all();
       }
     } catch (...) {
@@ -712,6 +731,11 @@ void TaskScheduler::ExecutorChildMain(int fd, int slot, const StageCodec& codec)
   ctx.set_trace_sink(nullptr);
   std::mutex write_mu;
   std::atomic<bool> stop{false};
+  // The first heartbeat goes out before any task result, so the driver reads
+  // it ahead of them even when the stage ends within one interval.
+  if (!WriteFrame(fd, ExecMsg::kHeartbeat, nullptr, 0, &write_mu)) {
+    ::_exit(0);  // driver is gone
+  }
   const int64_t hb_ms = supervisor_config_.heartbeat_ms > 0 ? supervisor_config_.heartbeat_ms : 25;
   std::thread heartbeat([fd, hb_ms, &write_mu, &stop] {
     while (!stop.load(std::memory_order_relaxed)) {

@@ -32,7 +32,7 @@
 // relaunch loop), so one abort never stalls sibling tasks. Tasks that
 // *throw* are governed by the stage's RetryPolicy: retryable failures
 // re-enter the queue with a bounded attempt budget, deterministic backoff,
-// and a fresh WorkerContext; straggler cancellations relaunch on another
+// and a reset worker heap; straggler cancellations relaunch on another
 // worker; corrupt input is either fatal or quarantined. Attempts of one
 // task never overlap, so exactly one attempt commits into the task's
 // pre-sized output slot — first (and only) committed result wins, keeping
@@ -69,19 +69,16 @@ class WorkerContext {
  public:
   WorkerContext(int worker_id, const HeapConfig& heap_config, KlassRegistry* shared_klasses,
                 MemoryTracker* tracker)
-      : worker_id_(worker_id),
-        heap_config_(heap_config),
-        shared_klasses_(shared_klasses),
-        tracker_(tracker) {
-    Recycle();
+      : worker_id_(worker_id), heap_(heap_config, shared_klasses), wk_(heap_), serde_(heap_) {
+    heap_.set_memory_tracker(tracker);
   }
   WorkerContext(const WorkerContext&) = delete;
   WorkerContext& operator=(const WorkerContext&) = delete;
 
   int worker_id() const { return worker_id_; }
-  Heap& heap() { return *heap_; }
-  WellKnown& wk() { return *wk_; }
-  InlineSerializer& serde() { return *serde_; }
+  Heap& heap() { return heap_; }
+  WellKnown& wk() { return wk_; }
+  InlineSerializer& serde() { return serde_; }
   // Stage-local accumulator; merged into the engine's stats and cleared at
   // every stage barrier.
   EngineStats& stats() { return stats_; }
@@ -91,23 +88,16 @@ class WorkerContext {
   TraceSink* trace_sink() const { return trace_sink_; }
   void set_trace_sink(TraceSink* sink) {
     trace_sink_ = sink;
-    heap_->set_trace_sink(sink);
+    heap_.set_trace_sink(sink);
   }
 
-  // Replaces the heap, WellKnown cache, and serializer with fresh instances
-  // (stats survive). Used between retry attempts so damage from a failed
-  // attempt — dangling roots, a heap poisoned mid-OOM — cannot leak into
-  // the next one. Only the owning worker may call this, between tasks.
-  void Recycle() {
-    serde_.reset();
-    wk_.reset();
-    heap_.reset();
-    heap_ = std::make_unique<Heap>(heap_config_, shared_klasses_);
-    heap_->set_memory_tracker(tracker_);
-    heap_->set_trace_sink(trace_sink_);
-    wk_ = std::make_unique<WellKnown>(*heap_);
-    serde_ = std::make_unique<InlineSerializer>(*heap_);
-  }
+  // Resets the heap in place (Heap::Reset; stats survive). Used between
+  // retry attempts so damage from a failed attempt — half-built objects, a
+  // heap filled mid-OOM — cannot leak into the next one. The WellKnown cache
+  // and serializer hold no heap objects and keep their Heap&. Only the
+  // owning worker may call this, between tasks, once the failed attempt has
+  // unwound every root it registered.
+  void Recycle() { heap_.Reset(); }
 
   // --- Per-attempt state, set by the scheduler before each task attempt ---
 
@@ -138,12 +128,9 @@ class WorkerContext {
 
  private:
   int worker_id_;
-  HeapConfig heap_config_;
-  KlassRegistry* shared_klasses_;
-  MemoryTracker* tracker_;
-  std::unique_ptr<Heap> heap_;
-  std::unique_ptr<WellKnown> wk_;
-  std::unique_ptr<InlineSerializer> serde_;
+  Heap heap_;
+  WellKnown wk_;
+  InlineSerializer serde_;
   EngineStats stats_;
   TraceSink* trace_sink_ = nullptr;
 
@@ -205,6 +192,8 @@ class TaskScheduler {
   TaskScheduler& operator=(const TaskScheduler&) = delete;
 
   int num_workers() const { return static_cast<int>(contexts_.size()); }
+  // Worker `w`'s context; touch it only between stages.
+  WorkerContext& context(int w) { return *contexts_[static_cast<size_t>(w)]; }
 
   // Policy applied by every subsequent RunStage. The default (1 attempt,
   // fail-fast) reproduces the seed's behavior exactly.
@@ -277,6 +266,9 @@ class TaskScheduler {
   // the error. `slot` is the worker the attempt ran on (banned for straggler
   // relaunches). Returns true if the stage gained new runnable work.
   bool HandleFailure(int task, int attempt, int slot, std::exception_ptr error);
+  // After a JobCancelled (under mu_): every task that has not started is
+  // terminal, so the stage ends once the attempts in flight do.
+  void CloseStageOnCancel();
   void MergeStats(EngineStats* stage_stats);
   void RethrowFirstError();
 

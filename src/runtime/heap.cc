@@ -1,6 +1,8 @@
 #include "src/runtime/heap.h"
 
 #include <algorithm>
+#include <iterator>
+#include <mutex>
 
 #include "src/support/poison.h"
 #include "src/support/trace.h"
@@ -12,17 +14,83 @@ constexpr uint64_t kHeapStartOffset = 8;  // offset 0 is the null reference
 constexpr int64_t kMinFreeBlock = 16;     // enough for a free-block header
 
 uint64_t AlignUp(uint64_t v, uint64_t a) { return (v + a - 1) & ~(a - 1); }
+
+// Arenas of destroyed heaps, kept for the next heap of the same capacity.
+// A kept arena's pages stay committed, so an engine built per job faults in
+// no page its predecessor already touched. Past kMaxKeptBytes of capacity
+// the oldest kept arena is freed.
+class ArenaCache {
+ public:
+  static constexpr size_t kMaxKeptBytes = size_t{128} << 20;
+
+  std::unique_ptr<uint8_t[]> Take(size_t capacity) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto it = kept_.rbegin(); it != kept_.rend(); ++it) {
+      if (it->capacity == capacity) {
+        std::unique_ptr<uint8_t[]> arena = std::move(it->arena);
+        kept_bytes_ -= capacity;
+        kept_.erase(std::next(it).base());
+        return arena;
+      }
+    }
+    return nullptr;
+  }
+
+  void Give(size_t capacity, std::unique_ptr<uint8_t[]> arena) {
+    if (capacity > kMaxKeptBytes) {
+      return;
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    while (kept_bytes_ + capacity > kMaxKeptBytes) {
+      kept_bytes_ -= kept_.front().capacity;
+      kept_.erase(kept_.begin());
+    }
+    kept_.push_back({capacity, std::move(arena)});
+    kept_bytes_ += capacity;
+  }
+
+ private:
+  struct Kept {
+    size_t capacity;
+    std::unique_ptr<uint8_t[]> arena;
+  };
+  std::mutex mu_;
+  std::vector<Kept> kept_;  // oldest first
+  size_t kept_bytes_ = 0;
+};
+
+// Never destroyed: a heap may be destroyed during static destruction.
+ArenaCache& Arenas() {
+  static ArenaCache* cache = new ArenaCache;
+  return *cache;
+}
+
+// A kept arena if one fits, else a new one. Neither is value-initialized:
+// the kernel commits a page on first touch, so a heap costs only the pages
+// its objects reach. Nothing reads a byte it did not write first (AllocRaw
+// zeroes every object, free blocks write their own headers, collectors copy
+// whole objects); under ASan every byte reads 0xA5 until written.
+std::unique_ptr<uint8_t[]> NewArena(size_t capacity) {
+  std::unique_ptr<uint8_t[]> arena = Arenas().Take(capacity);
+  if (arena == nullptr) {
+    arena = std::make_unique_for_overwrite<uint8_t[]>(capacity);
+  }
+  PoisonUnwritten(arena.get(), capacity);
+  return arena;
+}
 }  // namespace
 
 Heap::Heap(const HeapConfig& config, KlassRegistry* shared_klasses)
     : owned_klasses_(shared_klasses == nullptr ? std::make_unique<KlassRegistry>() : nullptr),
       klasses_(shared_klasses == nullptr ? owned_klasses_.get() : shared_klasses),
       config_(config),
-      capacity_(config.capacity_bytes) {
-  capacity_ = AlignUp(capacity_, kHeapAlignment);
-  storage_ = std::make_unique<uint8_t[]>(capacity_);
-  base_ = storage_.get();
+      capacity_(AlignUp(config.capacity_bytes, kHeapAlignment)),
+      storage_(NewArena(capacity_)),
+      base_(storage_.get()) {
+  LayOutSpaces();
+}
 
+void Heap::LayOutSpaces() {
   if (config_.gc == GcKind::kMarkSweep) {
     old_ = {kHeapStartOffset, capacity_, kHeapStartOffset};
   } else if (config_.gc == GcKind::kRegion) {
@@ -48,7 +116,31 @@ Heap::Heap(const HeapConfig& config, KlassRegistry* shared_klasses)
   }
 }
 
-Heap::~Heap() = default;
+void Heap::Reset() {
+  GERENUK_CHECK(!in_gc_) << "Heap::Reset during a collection";
+  GERENUK_CHECK(root_vectors_.empty() && root_slots_.empty() && root_providers_.empty())
+      << "Heap::Reset with registered roots (" << root_vectors_.size() << " vectors, "
+      << root_slots_.size() << " slots, " << root_providers_.size() << " providers)";
+  for (const Space* space : {&old_, &eden_, &from_, &to_, &region_}) {
+    PoisonUnwritten(base_ + space->start, space->top - space->start);
+  }
+  LayOutSpaces();
+  free_list_.clear();
+  free_total_ = 0;
+  remembered_.clear();
+  region_remembered_.clear();
+  region_evacuation_worklist_.clear();
+  promoted_worklist_.clear();
+  in_epoch_ = false;
+  // A mark taken before the reset must not rewind the reset heap.
+  scratch_floor_ = UINT64_MAX;
+  ++scratch_epoch_;
+  stats_ = HeapStats{};
+  peak_used_ = 0;
+  SyncMemoryTracker();  // used_bytes() is 0: hands the whole share back
+}
+
+Heap::~Heap() { Arenas().Give(capacity_, std::move(storage_)); }
 
 void Heap::InitHeader(ObjRef obj, uint32_t klass_id, uint32_t aux) {
   SetPrim<uint64_t>(obj, 0, 0);
@@ -87,8 +179,13 @@ ObjRef Heap::TryFreeList(int64_t size) {
     if (block.size < static_cast<uint64_t>(size)) {
       continue;
     }
-    ObjRef result = block.offset;
     uint64_t remainder = block.size - size;
+    if (remainder > 0 && remainder < static_cast<uint64_t>(kMinFreeBlock)) {
+      // The tail could carry no free-block header, and the sweep's walk
+      // would read the stale bytes there as an object.
+      continue;
+    }
+    ObjRef result = block.offset;
     free_total_ -= block.size;
     if (remainder >= static_cast<uint64_t>(kMinFreeBlock)) {
       // Split: shrink this entry in place.
@@ -359,9 +456,10 @@ void Heap::EpochEnd() {
 void Heap::AddRootVector(std::vector<ObjRef>* roots) { root_vectors_.push_back(roots); }
 
 void Heap::RemoveRootVector(std::vector<ObjRef>* roots) {
-  auto it = std::find(root_vectors_.begin(), root_vectors_.end(), roots);
-  GERENUK_CHECK(it != root_vectors_.end());
-  root_vectors_.erase(it);
+  // Scopes unwind LIFO, so the vector is almost always the last one.
+  auto it = std::find(root_vectors_.rbegin(), root_vectors_.rend(), roots);
+  GERENUK_CHECK(it != root_vectors_.rend());
+  root_vectors_.erase(std::next(it).base());
 }
 
 void Heap::AddRootSlot(ObjRef* slot) { root_slots_.push_back(slot); }

@@ -157,6 +157,10 @@ class Heap {
   void RemoveRootSlot(ObjRef* slot);
   void AddRootProvider(RootProvider* provider);
   void RemoveRootProvider(RootProvider* provider);
+  // Registered root vectors, slots and providers, all kinds together.
+  size_t registered_roots() const {
+    return root_vectors_.size() + root_slots_.size() + root_providers_.size();
+  }
 
   // ---- scratch objects (kGenerational only) ----
   // Lifetime-based bulk free for objects a caller builds, reads and drops at
@@ -182,6 +186,17 @@ class Heap {
   void EpochStart();
   void EpochEnd();
   bool in_epoch() const { return in_epoch_; }
+
+  // ---- lifecycle ----
+  // Returns the heap to its just-built state in O(1): every space empty,
+  // no free list, remembered set, epoch or scratch mark, zeroed stats, and
+  // no share left in the memory tracker. No arena byte is touched (outside
+  // ASan, which poisons the ranges that were in use), so the pages a job
+  // faulted in stay committed for the next one. Klasses, the tracker and
+  // trace sink bindings, and every Heap& held elsewhere stay valid. Every
+  // root must already be unregistered: a stale root would point at a
+  // destroyed vector or a freed object, so Reset CHECK-fails instead.
+  void Reset();
 
   // ---- GC control & accounting ----
   void CollectNow();  // full collection, regardless of occupancy
@@ -239,6 +254,8 @@ class Heap {
   uint32_t ReadKlassId(ObjRef obj) const { return GetPrim<uint32_t>(obj, 8); }
   uint32_t ReadAux(ObjRef obj) const { return GetPrim<uint32_t>(obj, 12); }
   void InitHeader(ObjRef obj, uint32_t klass_id, uint32_t aux);
+  // Places the spaces over the arena, each empty (constructor and Reset).
+  void LayOutSpaces();
 
   void BoundsCheck(ObjRef array, int64_t index) const {
     int64_t len = ArrayLength(array);
@@ -275,6 +292,9 @@ class Heap {
   KlassRegistry* klasses_;  // owned_klasses_.get() or the shared registry
   HeapConfig config_;
   size_t capacity_;
+  // Uninitialized, or kept from a destroyed heap of the same capacity:
+  // pages are committed when first written, and every byte is written
+  // before it is read (PoisonUnwritten fills it under ASan).
   std::unique_ptr<uint8_t[]> storage_;
   uint8_t* base_;
 

@@ -38,6 +38,24 @@ class RootScope {
   std::vector<ObjRef> slots_;
 };
 
+// Registers a caller-owned vector as a root set for the duration of a C++
+// scope, for code that indexes, copies or returns the vector itself. The
+// vector must be declared before the guard, so it outlives the
+// registration even when the scope unwinds through an exception.
+class ScopedRootVector {
+ public:
+  ScopedRootVector(Heap& heap, std::vector<ObjRef>* roots) : heap_(heap), roots_(roots) {
+    heap_.AddRootVector(roots_);
+  }
+  ~ScopedRootVector() { heap_.RemoveRootVector(roots_); }
+  ScopedRootVector(const ScopedRootVector&) = delete;
+  ScopedRootVector& operator=(const ScopedRootVector&) = delete;
+
+ private:
+  Heap& heap_;
+  std::vector<ObjRef>* roots_;
+};
+
 }  // namespace gerenuk
 
 #endif  // SRC_RUNTIME_ROOTS_H_

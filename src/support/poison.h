@@ -1,5 +1,6 @@
-// Poisoning of memory that holds no written value yet: heap bytes a scratch
-// rewind handed back and fresh native-buffer chunks. Under AddressSanitizer
+// Poisoning of memory that holds no written value yet: fresh heap arenas,
+// ranges a Heap::Reset or a scratch rewind handed back, and fresh
+// native-buffer chunks. Under AddressSanitizer
 // (GCC defines __SANITIZE_ADDRESS__ for -fsanitize=address) the bytes are
 // filled with 0xA5, so code that reads a byte it never wrote sees a loud
 // pattern instead of a lucky zero and the asan test run fails. Other builds

@@ -980,15 +980,19 @@ WorkloadResult SparkWorkloads::RunGradientBoosting(const SyntheticLabeledPoints&
         engine_.ReduceByKey(points, udfs_, {NarrowOp::FlatMap(gb_stats_, feat_count)},
                             KeySpec{gb_key_, false}, gb_add_, &bc);
     // Pick the feature with the largest |residual correlation| and boost it.
+    // Ties go to the smaller feature: the reduce output order differs
+    // between modes, so it must not decide.
     RootScope collect_scope(heap);
     int64_t best_feature = 0;
     double best_sum = 0.0;
     for (size_t slot : engine_.CollectToHeap(stats, collect_scope)) {
       ObjRef rec = collect_scope.Get(slot);
       double sum = static_cast<double>(ReadI64Field(heap, rec, feat_count, "count")) / 1024.0;
-      if (std::fabs(sum) > std::fabs(best_sum)) {
+      int64_t feature = ReadI64Field(heap, rec, feat_count, "key");
+      if (std::fabs(sum) > std::fabs(best_sum) ||
+          (std::fabs(sum) == std::fabs(best_sum) && feature < best_feature)) {
         best_sum = sum;
-        best_feature = ReadI64Field(heap, rec, feat_count, "key");
+        best_feature = feature;
       }
     }
     stump_weights[static_cast<size_t>(best_feature)] +=

@@ -459,6 +459,49 @@ TEST(FaultToleranceSparkTest, ReduceByKeyWithRetryIdenticalAcrossWorkerCounts) {
   }
 }
 
+TEST(FaultToleranceSparkTest, ThrowingReduceSlowPathLeavesNoRegisteredRoot) {
+  // Ordinals base..base+3 are the shuffle writes; base+5 is the second fold.
+  // Its fast path aborts at entry, so the reference runs that fold's slow
+  // path too (a slow fold emits keys in first-seen order).
+  constexpr int64_t kFold = 5;
+  std::vector<uint8_t> clean;
+  {
+    SparkJob job(SparkWith(1));
+    DatasetPtr in = job.MakeInput(1000);
+    job.engine.fault_plan().AbortTask(job.engine.next_task_ordinal() + kFold);
+    clean = DatasetBytes(job.engine.ReduceByKey(in, job.udfs, {}, KeySpec{job.get_key, false},
+                                                job.sum_values));
+  }
+  // Without a reset between attempts, a root the failed fold left behind
+  // would still point at its destroyed value vector on the next GC.
+  for (bool fresh_context : {true, false}) {
+    for (int workers : kWorkerCounts) {
+      EngineConfig config = SparkWith(workers);
+      config.fault.max_task_attempts = 2;
+      auto core = std::make_shared<EngineCore>(config);
+      RetryPolicy policy = config.retry_policy();
+      policy.fresh_context_on_retry = fresh_context;
+      core->scheduler().set_retry_policy(policy);
+      PairJob<SparkEngine, std::shared_ptr<EngineCore>> job(core);
+      DatasetPtr in = job.MakeInput(1000);
+      // The fold's slow path throws an OOM after it registered its value
+      // vector.
+      const int64_t fold = job.engine.next_task_ordinal() + kFold;
+      job.engine.fault_plan().AbortTask(fold);
+      job.engine.fault_plan().InjectSlowPathOom(fold);
+      DatasetPtr out = job.engine.ReduceByKey(in, job.udfs, {}, KeySpec{job.get_key, false},
+                                              job.sum_values);
+      const std::string where =
+          "workers=" + std::to_string(workers) + " fresh=" + std::to_string(fresh_context);
+      EXPECT_EQ(job.engine.stats().retries, 1) << where;
+      EXPECT_EQ(DatasetBytes(out), clean) << where;
+      for (int w = 0; w < workers; ++w) {
+        EXPECT_EQ(core->scheduler().context(w).heap().registered_roots(), 0u) << where;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Adaptive speculation governor
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #ifndef TESTS_PAIR_JOB_H_
 #define TESTS_PAIR_JOB_H_
 
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -131,6 +132,23 @@ struct PairJob : PairUdfs {
 
 using SparkJob = PairJob<SparkEngine, EngineConfig>;
 using HadoopJob = PairJob<HadoopEngine, HadoopConfig>;
+
+// Failure-path latency bounds are checked only in uninstrumented builds:
+// a sanitizer slows every part of a path, and not evenly.
+#ifdef GERENUK_SANITIZED_BUILD
+inline constexpr bool kSanitizedBuild = true;
+#else
+inline constexpr bool kSanitizedBuild = false;
+#endif
+// What a latency budget allows on top of its measured parts: thread
+// wake-ups and scheduling on a loaded host running the suite in parallel.
+// One 64 MB arena value-initialized costs about twice this.
+inline constexpr double kWakeupSlackMs = 25.0;
+
+inline double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+      .count();
+}
 
 inline EngineConfig SparkWith(int workers) {
   EngineConfig config;

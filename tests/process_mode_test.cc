@@ -7,6 +7,7 @@
 // deterministic-jitter backoff schedule (RetryPolicy::BackoffMsFor).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <string>
@@ -138,6 +139,41 @@ TEST(ProcessModeTest, SigkilledExecutorIsRecovered) {
     std::string json = TraceExporter(*job.engine.trace()).ChromeJson();
     EXPECT_NE(json.find("executor_dead"), std::string::npos);
     EXPECT_NE(json.find("executor_relaunch"), std::string::npos);
+  }
+}
+
+TEST(ProcessModeTest, SigkillRecoveryCostsOneRelaunchAtTheDefaultHeap) {
+  // The default 64 MB heap, where value-initializing one arena alone costs
+  // about 50 ms: an executor that rebuilt its heap for the retry would blow
+  // the budget.
+  EngineConfig config = ProcessSparkWith(2);
+  config.execution.heap_bytes = EngineConfig{}.execution.heap_bytes;
+  config.fault.max_task_attempts = 3;
+  // Wall time of the map stage, the one the kill lands in.
+  auto map_stage_ms = [&config](bool kill) {
+    SparkJob job(config);
+    DatasetPtr in = job.MakeInput(1200);
+    if (kill) {
+      job.engine.fault_plan().InjectExecutorKill(job.engine.next_task_ordinal() + 1, SIGKILL,
+                                                 /*max_attempt=*/1);
+    }
+    const auto start = std::chrono::steady_clock::now();
+    job.engine.RunStage(in, job.udfs, {NarrowOp::Map(job.double_value, job.pair)});
+    const double ms = MsSince(start);
+    EXPECT_EQ(job.engine.stats().executor_deaths, kill ? 1 : 0);
+    return ms;
+  };
+  const double clean_ms = map_stage_ms(false);
+  const double killed_ms = map_stage_ms(true);
+  // Recovery budget: the supervisor sees the death within one poll interval
+  // (10 ms), then relaunches one executor and reruns one task. The clean
+  // stage launched both executors and ran all four tasks, so that is at
+  // most half of it. No executor heap is rebuilt for the retry: a reset
+  // costs microseconds.
+  constexpr double kSupervisorPollMs = 10.0;
+  if (!kSanitizedBuild) {
+    EXPECT_LE(killed_ms - clean_ms, clean_ms / 2 + kSupervisorPollMs + kWakeupSlackMs)
+        << "clean " << clean_ms << " ms, killed " << killed_ms << " ms";
   }
 }
 

@@ -7,6 +7,8 @@
 
 #include "src/runtime/heap.h"
 #include "src/runtime/klass.h"
+#include "src/runtime/roots.h"
+#include "src/support/poison.h"
 #include "src/support/rng.h"
 
 namespace gerenuk {
@@ -526,6 +528,269 @@ TEST(MarkSweepHeapTest, FreeListReuse) {
   }
   SUCCEED();
 }
+
+TEST(MarkSweepHeapTest, FreeListFitNeverLeavesAHeaderlessTail) {
+  HeapConfig config;
+  config.capacity_bytes = 64 << 10;
+  config.gc = GcKind::kMarkSweep;
+  Heap heap(config);
+  const Klass* pair = heap.klasses().DefineClass("Pair", {
+                                                             {"a", FieldKind::kI64, nullptr, 0},
+                                                             {"b", FieldKind::kI64, nullptr, 0},
+                                                         });
+  const Klass* box = heap.klasses().DefineClass("Box", {{"v", FieldKind::kI64, nullptr, 0}});
+  ASSERT_EQ(pair->instance_size() - box->instance_size(), 8);
+  const int v_off = box->FindField("v")->offset;
+  std::vector<ObjRef> live;
+  heap.AddRootVector(&live);
+  auto add_box = [&] {
+    ObjRef obj = heap.AllocObject(box);
+    heap.SetPrim<int64_t>(obj, v_off, static_cast<int64_t>(live.size()));
+    live.push_back(obj);
+  };
+  const Klass* bytes = heap.klasses().DefineArray(FieldKind::kI8);
+  // Dead pairs between live boxes, and now and then a dead 1 KB array, until
+  // the bump space runs out: the collection makes each of them a free block.
+  for (int i = 0; heap.stats().major_gcs == 0; ++i) {
+    heap.AllocObject(pair);
+    add_box();
+    if (i % 8 == 0) {
+      heap.AllocArray(bytes, 1000);
+    }
+  }
+  // Boxes now come from the free list. A box fits a pair's block with 8
+  // bytes to spare, too few for a free block's header, so it must take an
+  // array's block instead: the sweeps below walk the heap object by object
+  // and must never meet a headerless tail.
+  for (int i = 0; i < 200; ++i) {
+    add_box();
+  }
+  heap.CollectNow();
+  for (int i = 0; i < 200; ++i) {
+    add_box();
+  }
+  heap.CollectNow();
+  for (size_t i = 0; i < live.size(); ++i) {
+    ASSERT_EQ(heap.GetPrim<int64_t>(live[i], v_off), static_cast<int64_t>(i)) << "box " << i;
+  }
+  heap.RemoveRootVector(&live);
+}
+
+// ---------------------------------------------------------------------------
+// Root registration
+// ---------------------------------------------------------------------------
+
+TEST_P(HeapTest, RootVectorsMayBeRemovedInAnyOrder) {
+  Heap heap(Config(1 << 20));
+  const Klass* box = heap.klasses().DefineClass("Box", {{"v", FieldKind::kI64, nullptr, 0}});
+  const int v_off = box->FindField("v")->offset;
+  std::vector<std::vector<ObjRef>> sets(4);
+  for (size_t i = 0; i < sets.size(); ++i) {
+    heap.AddRootVector(&sets[i]);
+    sets[i].push_back(heap.AllocObject(box));
+    heap.SetPrim<int64_t>(sets[i][0], v_off, static_cast<int64_t>(i));
+  }
+  // Neither LIFO nor FIFO: the first, then one from the middle.
+  heap.RemoveRootVector(&sets[0]);
+  heap.RemoveRootVector(&sets[2]);
+  EXPECT_EQ(heap.registered_roots(), 2u);
+  heap.CollectNow();
+  EXPECT_EQ(heap.GetPrim<int64_t>(sets[1][0], v_off), 1);
+  EXPECT_EQ(heap.GetPrim<int64_t>(sets[3][0], v_off), 3);
+  heap.RemoveRootVector(&sets[3]);
+  heap.RemoveRootVector(&sets[1]);
+  EXPECT_EQ(heap.registered_roots(), 0u);
+  EXPECT_DEATH(heap.RemoveRootVector(&sets[1]), "CHECK");
+}
+
+// ---------------------------------------------------------------------------
+// Reset
+// ---------------------------------------------------------------------------
+
+// A heap mirrored into a tracker that already holds another component's
+// bytes, so a Reset must hand back exactly the heap's own share.
+struct ResetHeap {
+  static constexpr int64_t kOtherBytes = 12345;
+
+  MemoryTracker tracker;
+  Heap heap;
+  const Klass* box;
+  const Klass* bytes;
+  int v_off;
+  int r_off;
+  ObjRef first;  // where a just-built heap puts its first object
+
+  static HeapConfig Config(GcKind gc) {
+    HeapConfig config;
+    config.capacity_bytes = 2u << 20;
+    config.gc = gc;
+    config.promotion_age = 1;
+    return config;
+  }
+
+  explicit ResetHeap(GcKind gc) : heap(Config(gc)) {
+    tracker.Allocated(kOtherBytes);
+    heap.set_memory_tracker(&tracker);
+    box = heap.klasses().DefineClass("Box", {
+                                                {"v", FieldKind::kI64, nullptr, 0},
+                                                {"r", FieldKind::kRef, nullptr, 0},
+                                            });
+    bytes = heap.klasses().DefineArray(FieldKind::kI8);
+    v_off = box->FindField("v")->offset;
+    r_off = box->FindField("r")->offset;
+    first = heap.AllocObject(box);
+  }
+
+  // A box with no zero field: a non-zero value and a reference to itself.
+  ObjRef DirtyBox() {
+    ObjRef obj = heap.AllocObject(box);
+    heap.SetPrim<uint64_t>(obj, v_off, 0xA1A2A3A4A5A6A7A8ull);
+    heap.SetRef(obj, r_off, obj);
+    return obj;
+  }
+
+  // What every Reset test ends with: an empty heap whose tracker is back at
+  // its pre-heap value, that allocates where a just-built heap does, hands
+  // out zeroed objects and keeps working through collections.
+  void ExpectJustBuilt() {
+    EXPECT_EQ(heap.used_bytes(), 0);
+    EXPECT_EQ(tracker.live_bytes(), kOtherBytes);
+    EXPECT_EQ(heap.stats().allocated_objects, 0);
+    EXPECT_FALSE(heap.in_epoch());
+    std::vector<ObjRef> roots = {heap.AllocObject(box)};
+    heap.AddRootVector(&roots);
+    EXPECT_EQ(roots[0], first);
+    EXPECT_EQ(heap.GetPrim<int64_t>(roots[0], v_off), 0);
+    EXPECT_EQ(heap.GetRef(roots[0], r_off), kNullRef);
+    for (int i = 0; i < 4000; ++i) {
+      DirtyBox();
+      heap.AllocArray(bytes, 1024);
+    }
+    EXPECT_GT(heap.stats().minor_gcs + heap.stats().major_gcs, 0);
+    EXPECT_EQ(heap.GetPrim<int64_t>(roots[0], v_off), 0);
+    EXPECT_EQ(heap.GetRef(roots[0], r_off), kNullRef);
+    heap.RemoveRootVector(&roots);
+  }
+};
+
+TEST(HeapResetTest, AfterAllocationMinorGcAndPromotion) {
+  ResetHeap h(GcKind::kGenerational);
+  {
+    std::vector<ObjRef> roots = {h.DirtyBox()};
+    ScopedRootVector scope(h.heap, &roots);
+    for (int i = 0; i < 4000; ++i) {
+      h.DirtyBox();
+      h.heap.AllocArray(h.bytes, 256);
+    }
+  }
+  ASSERT_GT(h.heap.stats().minor_gcs, 0);
+  ASSERT_GT(h.heap.stats().promoted_bytes, 0);
+  h.heap.Reset();
+  h.ExpectJustBuilt();
+}
+
+TEST(HeapResetTest, AfterARememberedSetStore) {
+  ResetHeap h(GcKind::kGenerational);
+  {
+    std::vector<ObjRef> roots = {h.DirtyBox()};
+    ScopedRootVector scope(h.heap, &roots);
+    h.heap.CollectNow();  // promotion_age 1: the holder is now old
+    h.heap.SetRef(roots[0], h.r_off, h.DirtyBox());  // old-to-young: remembered
+  }
+  // A remembered entry that survived the reset would be scanned as an old
+  // object by the next minor GC, in bytes that no longer hold one.
+  h.heap.Reset();
+  h.ExpectJustBuilt();
+}
+
+TEST(HeapResetTest, AfterAMarkSweepFreeList) {
+  ResetHeap h(GcKind::kMarkSweep);
+  std::vector<ObjRef> roots;
+  {
+    ScopedRootVector scope(h.heap, &roots);
+    for (int i = 0; i < 3000; ++i) {
+      ObjRef obj = h.DirtyBox();
+      if (i % 2 == 0) {
+        roots.push_back(obj);
+      }
+      h.heap.AllocArray(h.bytes, 64);
+    }
+    h.heap.CollectNow();  // the unrooted half becomes free-list blocks
+  }
+  ASSERT_GT(h.heap.stats().major_gcs, 0);
+  h.heap.Reset();
+  h.ExpectJustBuilt();
+}
+
+TEST(HeapResetTest, InsideARegionEpoch) {
+  ResetHeap h(GcKind::kRegion);
+  h.heap.EpochStart();
+  ObjRef outside = h.first;
+  h.heap.SetRef(outside, h.r_off, h.DirtyBox());  // recorded as an escape
+  for (int i = 0; i < 100; ++i) {
+    h.DirtyBox();
+  }
+  h.heap.Reset();
+  EXPECT_FALSE(h.heap.in_epoch());
+  h.ExpectJustBuilt();
+  h.heap.EpochStart();  // epochs start again on the reset heap
+  h.heap.EpochEnd();
+}
+
+TEST(HeapResetTest, DropsAnOpenScratchMark) {
+  ResetHeap h(GcKind::kGenerational);
+  Heap::ScratchMark mark = h.heap.MarkScratch();
+  h.DirtyBox();
+  h.heap.Reset();
+  // A mark from before the reset must not rewind the reset heap.
+  h.DirtyBox();
+  EXPECT_FALSE(h.heap.RewindScratch(mark));
+  h.heap.Reset();
+  h.ExpectJustBuilt();
+}
+
+// The arena under a heap's first object.
+const uint8_t* ArenaOf(ResetHeap& h) {
+  const ObjRef probe = h.heap.AllocArray(h.bytes, 0);
+  return h.heap.PrimArrayData(probe) - probe - h.bytes->elements_offset();
+}
+
+TEST(HeapArenaTest, ANewHeapReusesADestroyedHeapsArenaAsIfJustBuilt) {
+  auto dirty = std::make_unique<ResetHeap>(GcKind::kGenerational);
+  const uint8_t* arena = ArenaOf(*dirty);
+  for (int i = 0; i < 2000; ++i) {
+    dirty->DirtyBox();
+  }
+  dirty.reset();
+  // Same capacity: the arena comes back with the last heap's bytes in it.
+  ResetHeap h(GcKind::kGenerational);
+  EXPECT_EQ(ArenaOf(h), arena);
+  h.heap.Reset();
+  h.ExpectJustBuilt();
+}
+
+TEST(HeapResetTest, WithARegisteredRootDies) {
+  ResetHeap h(GcKind::kGenerational);
+  std::vector<ObjRef> roots;
+  ScopedRootVector scope(h.heap, &roots);
+  EXPECT_DEATH(h.heap.Reset(), "registered roots");
+}
+
+#ifdef __SANITIZE_ADDRESS__
+// Under ASan a new arena and every range a reset hands back read 0xA5, so
+// code that read a byte it never wrote would see the pattern, not a zero.
+TEST(HeapResetTest, UnwrittenAndResetArenaBytesReadPoisoned) {
+  ResetHeap h(GcKind::kGenerational);
+  const ObjRef dirty = h.DirtyBox();
+  const ObjRef probe = h.heap.AllocArray(h.bytes, 0);
+  const uint8_t* arena = h.heap.PrimArrayData(probe) - probe - h.bytes->elements_offset();
+  const ObjRef end = probe + static_cast<ObjRef>(h.bytes->ArraySize(0));
+  EXPECT_EQ(arena[end + 64], kPoisonByte);  // never allocated
+  h.heap.Reset();
+  EXPECT_EQ(arena[dirty + h.v_off], kPoisonByte);  // in use before the reset
+  EXPECT_EQ(arena[h.first], kPoisonByte);
+}
+#endif
 
 }  // namespace
 }  // namespace gerenuk

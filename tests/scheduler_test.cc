@@ -87,6 +87,43 @@ TEST(TaskSchedulerTest, WorkerHeapsAreIsolatedMutators) {
       &stats);
 }
 
+TEST(TaskSchedulerTest, FirstCancelClosesTheStageAndKeepsWorkerHeaps) {
+  for (int workers : kWorkerCounts) {
+    MemoryTracker tracker;
+    TaskScheduler sched(workers, HeapConfig{8u << 20}, nullptr, &tracker);
+    std::atomic<bool> cancelled{false};
+    std::atomic<int> checks{0};
+    sched.set_cancel_check([&] {
+      checks.fetch_add(1);
+      return cancelled.load() ? CancelCause::kUserCancel : CancelCause::kNone;
+    });
+    std::atomic<int> ran{0};
+    EngineStats stats;
+    // Every task that starts allocates in its worker's heap and cancels the
+    // job, so each worker runs at most one task body.
+    EXPECT_THROW(sched.RunStage(
+                     64,
+                     [&](WorkerContext& ctx, int) {
+                       ran.fetch_add(1);
+                       ctx.heap().AllocArray(ctx.heap().klasses().Find("i64[]"), 8);
+                       cancelled.store(true);
+                     },
+                     &stats),
+                 JobCancelled);
+    EXPECT_GE(ran.load(), 1);
+    EXPECT_LE(ran.load(), workers);
+    // The first attempt to observe the cancel closes the stage: the tasks
+    // that had not started never reach their entry check.
+    EXPECT_LE(checks.load(), 2 * workers) << "workers=" << workers;
+    // A cancel is not a fault: no worker heap was reset on the way out.
+    int64_t used = 0;
+    for (int w = 0; w < workers; ++w) {
+      used += sched.context(w).heap().used_bytes();
+    }
+    EXPECT_GT(used, 0) << "workers=" << workers;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Engine-level determinism across worker counts
 // ---------------------------------------------------------------------------

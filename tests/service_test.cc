@@ -7,6 +7,7 @@
 // plan-cache hit rate.
 #include "src/service/engine_service.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -582,19 +583,33 @@ TEST(ServiceTest, CancelQueuedJobResolvesSynchronously) {
   EXPECT_EQ(service.admission_stats().dispatched, 1);
 }
 
+// The default 64 MB heap, where value-initializing one arena alone costs
+// about 50 ms: a failure path that rebuilt a heap would blow its budget.
+ServiceConfig DefaultHeapService() {
+  ServiceConfig config = SmallService(1);
+  config.engine.execution.heap_bytes = EngineConfig{}.execution.heap_bytes;
+  return config;
+}
+
 TEST(ServiceTest, CancelRunningJobUnwindsAtATaskBoundaryWithPartialStats) {
-  EngineService service(SmallService(1));
+  EngineService service(DefaultHeapService());
   Session session = service.CreateSession("alice");
 
   // An endless body: loops stages until cancelled. Without cooperative
   // cancellation this job would never finish.
   auto started = std::make_shared<std::atomic<bool>>(false);
+  auto longest_stage_us = std::make_shared<std::atomic<int64_t>>(0);
   JobSpec endless;
   endless.name = "endless";
-  endless.run = [started](EngineContext& ctx) -> std::string {
+  endless.run = [started, longest_stage_us](EngineContext& ctx) -> std::string {
     auto* setup = static_cast<PairServiceSetup*>(ctx.setup.get());
     for (;;) {
+      const auto stage_start = std::chrono::steady_clock::now();
       RunKindOnSpark(0, *ctx.spark, setup->udfs);
+      const auto us = static_cast<int64_t>(MsSince(stage_start) * 1000.0);
+      if (us > longest_stage_us->load()) {
+        longest_stage_us->store(us);
+      }
       started->store(true);
     }
   };
@@ -602,13 +617,22 @@ TEST(ServiceTest, CancelRunningJobUnwindsAtATaskBoundaryWithPartialStats) {
   while (!started->load()) {
     std::this_thread::yield();
   }
+  const auto cancel_start = std::chrono::steady_clock::now();
   EXPECT_TRUE(handle.cancel());
   const JobResult result = WaitDone(handle, std::chrono::seconds(30));
+  const double cancel_ms = MsSince(cancel_start);
   EXPECT_EQ(result.status, JobStatus::kCancelled);
   EXPECT_NE(result.error.find("cancel"), std::string::npos) << result.error;
   EXPECT_GT(result.stats.tasks_run, 0) << "partial progress is visible in the stats delta";
   EXPECT_EQ(service.metrics().Counter("service.jobs_cancelled"), 1);
   EXPECT_EQ(service.metrics().Counter("tenant.alice.jobs_cancelled"), 1);
+  // Cancel-to-resolve budget: the attempts in flight finish (at most one
+  // stage), the first attempt to observe the cancel closes the stage, and
+  // no heap is reset or rebuilt on the way out.
+  if (!kSanitizedBuild) {
+    const double stage_ms = static_cast<double>(longest_stage_us->load()) / 1000.0;
+    EXPECT_LE(cancel_ms, stage_ms + kWakeupSlackMs) << "longest stage " << stage_ms << " ms";
+  }
 
   // The slot survives a cancelled job like it survives a failed one.
   EXPECT_EQ(WaitDone(session.Submit(KindJob(0))).status, JobStatus::kSucceeded);
@@ -734,6 +758,47 @@ TEST(ServiceTest, BreakerOpensRebuildsAndClosesAfterProbes) {
   EXPECT_EQ(breaker.closes, 1);
   EXPECT_EQ(breaker.probe_failures, 0);
   EXPECT_EQ(service.metrics().Counter("service.breaker.closes"), 1);
+}
+
+TEST(ServiceTest, BreakerRecoveryCostsItsSetupAndProbesAtTheDefaultHeap) {
+  ServiceConfig config = DefaultHeapService();
+  // Times every slot setup, the rebuild's included.
+  auto setup_us = std::make_shared<std::atomic<int64_t>>(0);
+  EngineSetup setup = config.setup;
+  config.setup = [setup, setup_us](EngineContext& ctx) -> std::shared_ptr<void> {
+    const auto start = std::chrono::steady_clock::now();
+    std::shared_ptr<void> payload = setup(ctx);
+    setup_us->store(static_cast<int64_t>(MsSince(start) * 1000.0));
+    return payload;
+  };
+  EngineService service(config);
+  Session session = service.CreateSession("alice");
+  // One probe's cost: the slowest of a few jobs on the healthy slot.
+  double job_ms = 0.0;
+  for (int i = 0; i < 3; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_EQ(WaitDone(session.Submit(KindJob(0))).status, JobStatus::kSucceeded);
+    job_ms = std::max(job_ms, MsSince(start));
+  }
+
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(service.TripBreaker(0));
+  int probes = 0;
+  while (service.breaker_stats().closes == 0) {
+    ASSERT_EQ(WaitDone(session.Submit(KindJob(0))).status, JobStatus::kSucceeded);
+    probes += 1;
+  }
+  const double recovery_ms = MsSince(start);
+  EXPECT_EQ(probes, config.breaker_probe_jobs);
+  EXPECT_EQ(service.breaker_stats().rebuilds, 1);
+  // Recovery budget: the rebuilt slot's setup plus its probe jobs. Tearing
+  // the old core down and building the new one (an engine heap and one heap
+  // per worker) must cost no more than the slack.
+  if (!kSanitizedBuild) {
+    const double setup_ms = static_cast<double>(setup_us->load()) / 1000.0;
+    EXPECT_LE(recovery_ms, setup_ms + probes * job_ms + kWakeupSlackMs)
+        << "setup " << setup_ms << " ms, job " << job_ms << " ms";
+  }
 }
 
 TEST(ServiceTest, HalfOpenFailureReopensTheBreaker) {

@@ -3,6 +3,8 @@
 // verified that no incorrect results were produced by our transformation".
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "src/workloads/hadoop_workloads.h"
 #include "src/workloads/spark_workloads.h"
 
@@ -106,6 +108,26 @@ TEST(SparkWorkloadsTest, GradientBoostingMatchesAcrossModes) {
   }
   EXPECT_NEAR(checksums[0], checksums[1], 1e-9);
   EXPECT_NE(checksums[0], 0.0);
+}
+
+TEST(SparkWorkloadsTest, GradientBoostingTiesBreakTheSameWayInBothModes) {
+  // On these seeds (the benchmark's GB input, seed + 5) two features tie for
+  // the largest residual count in some round. The reduce emits features in
+  // first-seen order on the baseline and hash order on Gerenuk, so the
+  // arg-max must not depend on that order.
+  for (uint64_t seed : {4, 205, 9012}) {
+    SyntheticLabeledPoints points = MakeLabeledPoints(2000, 8, seed + 5);
+    double checksums[2];
+    for (EngineMode mode : {EngineMode::kBaseline, EngineMode::kGerenuk}) {
+      EngineConfig config = SmallSpark(mode);
+      config.execution.heap_bytes = 24u << 20;
+      config.execution.num_partitions = 4;
+      SparkEngine engine(config);
+      SparkWorkloads workloads(engine);
+      checksums[static_cast<int>(mode)] = workloads.RunGradientBoosting(points, 4, 0.3).checksum;
+    }
+    EXPECT_NEAR(checksums[0], checksums[1], 1e-9 * std::fabs(checksums[0])) << "seed " << seed;
+  }
 }
 
 TEST(SparkWorkloadsTest, WordCountMatchesAcrossModes) {
